@@ -23,11 +23,7 @@ Three claims, each measured and asserted:
   (kill/hang/slow/partition) through the campaign harness and asserts
   every campaign heals: zero lost tickets, the killed-and-restarted
   backend is readmitted by the prober and serves traffic again, p99
-  stays bounded;
-* **hedging** — a *hedging* section replays a warm workload against a
-  2-backend fleet whose primary stalls, once without hedging and once
-  with, and asserts the hedged run improves p99 while duplicating ZERO
-  pipeline executions (hedges are answered from the shared store).
+  stays bounded.
 
 Rows land in ``BENCH_fleet_load.json`` at the repo root (same
 one-row-per-measurement layout as the other ``BENCH_*`` artifacts).
@@ -58,7 +54,7 @@ from repro.service import (
     spawn_http_fleet,
 )
 from repro.service.fleet import SERVED_BY_LRU, SERVED_BY_STORE
-from repro.service.service import latency_summary
+from repro.service.admission import latency_summary
 
 _ROOT = Path(__file__).resolve().parents[1]
 _OUT = _ROOT / "BENCH_fleet_load.json"
@@ -345,34 +341,6 @@ def bench_scaling(cache_dir: str, scratch: Path) -> List[Dict]:
     return rows
 
 
-class _SlowBackend:
-    """Stalls every dispatch — the shape hedging exists to mask."""
-
-    def __init__(self, inner, delay_s: float):
-        self.inner = inner
-        self.name = inner.name
-        self.delay_s = delay_s
-
-    def compile(self, request):
-        time.sleep(self.delay_s)
-        return self.inner.compile(request)
-
-    def alive(self):
-        return self.inner.alive()
-
-    def mark_dead(self):
-        self.inner.mark_dead()
-
-    def mark_alive(self):
-        self.inner.mark_alive()
-
-    def probe(self):
-        return self.inner.probe()
-
-    def close(self):
-        self.inner.close()
-
-
 def bench_chaos() -> Dict:
     """Fleet fault matrix through the chaos campaign harness."""
     from repro.resilience.fleet_chaos import run_fleet_chaos_matrix
@@ -384,103 +352,6 @@ def bench_chaos() -> Dict:
         "ok": result.ok,
         "cells": [cell.to_dict() for cell in result.cells],
     }
-
-
-def bench_hedging(cache_dir: str) -> Dict:
-    """Warm workload, stalled primary: p99 with and without hedging.
-
-    Both fleets share one artifact store, so the hedge is answered from
-    the store on the secondary — the ``executions`` counters prove the
-    hedge duplicated zero pipeline work.
-    """
-    from repro.service.store import CompileArtifact
-
-    clear_caches()
-    stall_s = 0.08
-    hedge_delay_s = 0.01
-    n = 6 if QUICK else 12
-
-    def instant(request, digest):
-        return CompileArtifact(
-            digest=digest,
-            program="hedge-bench",
-            strategy="multidim",
-            device="Tesla K20c",
-            cost={"total_us": 1.0, "kernels": []},
-        )
-
-    def build(hedge: bool):
-        fleet = local_fleet(
-            2,
-            cache_dir,
-            fleet_config=FleetConfig(
-                lru_capacity=0,
-                probe_interval_s=0,
-                hedge_delay_s=hedge_delay_s if hedge else None,
-                backoff_base_s=0.001,
-                backoff_max_s=0.01,
-            ),
-            compile_fn=instant,
-            workers=2,
-        )
-        fleet.store = None  # force dispatch; backends share the disk tier
-        return fleet
-
-    def executions(fleet) -> int:
-        return sum(
-            getattr(b, "inner", b).service.executions
-            for b in fleet.backends.values()
-        )
-
-    def victim_requests(fleet) -> tuple:
-        victim = sorted(fleet.backends)[0]
-        picked = []
-        candidate = 0
-        while len(picked) < n:
-            request = CompileRequest(
-                app="sumRows", sizes={"R": 64 + 32 * candidate, "C": 32}
-            )
-            if fleet.ring.node_for(request.digest()) == victim:
-                picked.append(request)
-            candidate += 1
-        return victim, picked
-
-    def run(hedge: bool) -> Dict:
-        fleet = build(hedge)
-        try:
-            victim, requests = victim_requests(fleet)
-            # Wave 1 (cold): populates the shared store and marks the
-            # digests hedgeable.
-            for request in requests:
-                assert fleet.submit(request).wait(timeout=300).ok
-            executed_cold = executions(fleet)
-            # Stall the primary every request routes to.
-            fleet.backends[victim] = _SlowBackend(
-                fleet.backends[victim], stall_s
-            )
-            latencies = []
-            for request in requests:
-                t0 = time.perf_counter()
-                outcome = fleet.submit(request).wait(timeout=300)
-                latencies.append((time.perf_counter() - t0) * 1e3)
-                assert outcome.ok
-            stats = fleet.stats()
-            return {
-                "hedged": hedge,
-                "stall_ms": stall_s * 1e3,
-                "hedge_delay_ms": hedge_delay_s * 1e3 if hedge else None,
-                "requests": n,
-                "latency_ms": latency_summary(sorted(latencies)),
-                "hedges": stats["hedges"],
-                "hedge_wins": stats["hedge_wins"],
-                "duplicate_executions": executions(fleet) - executed_cold,
-            }
-        finally:
-            fleet.close()
-
-    baseline = run(hedge=False)
-    hedged = run(hedge=True)
-    return {"baseline": baseline, "hedged": hedged}
 
 
 def bench_instrumented(cache_dir: str) -> Dict:
@@ -542,8 +413,7 @@ def run_benchmark() -> Dict:
         )
         rows.append(bench_instrumented(str(scratch_path / "cache-e")))
         chaos = bench_chaos()
-        hedging = bench_hedging(str(scratch_path / "cache-d"))
-    return {"rows": rows, "chaos": chaos, "hedging": hedging}
+    return {"rows": rows, "chaos": chaos}
 
 
 def _write(result: Dict) -> None:
@@ -621,16 +491,6 @@ def test_bench_fleet_load():
         f"{instrumented['exemplars']} exemplar(s), "
         f"fleet p99<={instrumented['fleet_p99_ms']:g} ms"
     )
-    hedging = result["hedging"]
-    baseline, hedged = hedging["baseline"], hedging["hedged"]
-    print(
-        f"hedging: stalled-primary p99 "
-        f"{baseline['latency_ms']['p99']:.1f} ms unhedged -> "
-        f"{hedged['latency_ms']['p99']:.1f} ms hedged "
-        f"({hedged['hedges']} hedge(s), {hedged['hedge_wins']} win(s), "
-        f"{hedged['duplicate_executions']} duplicate execution(s))"
-    )
-
     assert coalescing["pipeline_runs"] == 1
     assert coalescing["dispatched"] == 1
     assert coalescing["coalesced"] == FANOUT - 1
@@ -659,14 +519,6 @@ def test_bench_fleet_load():
     assert instrumented["traced_requests"] == instrumented["requests"]
     assert instrumented["span_events"] > 0
     assert instrumented["exemplars"] >= 1
-
-    # Hedging: better tail latency under a stalled primary, zero
-    # duplicated pipeline work.
-    assert hedged["hedges"] >= 1 and hedged["hedge_wins"] >= 1
-    assert hedged["duplicate_executions"] == 0
-    assert (
-        hedged["latency_ms"]["p99"] < baseline["latency_ms"]["p99"] * 0.75
-    )
 
 
 if __name__ == "__main__":

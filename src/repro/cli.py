@@ -621,11 +621,6 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
         dispatchers=args.dispatchers,
         cache_dir=cache_dir,
         probe_interval_s=args.probe_interval_s,
-        hedge_delay_s=(
-            args.hedge_delay_s
-            if args.hedge_delay_s is not None and args.hedge_delay_s >= 0
-            else None
-        ),
     )
     with capture() as obs:
         if args.subprocess:
@@ -697,7 +692,7 @@ def cmd_fleet_submit(args: argparse.Namespace) -> int:
     import threading
 
     from repro.service import ServiceClient
-    from repro.service.service import latency_summary
+    from repro.service.admission import latency_summary
 
     request = _submit_request(args)
     payload = request.to_dict()
@@ -1634,10 +1629,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background health-probe cadence driving "
                        "the per-backend circuit breakers; <=0 disables "
                        f"(default {_config.DEFAULT_FLEET_PROBE_INTERVAL_S})")
-    fl_sv.add_argument("--hedge-delay-s", type=float, default=None,
-                       help="hedge still-pending warm-cache requests to "
-                       "the next ring node after this many seconds "
-                       "(default: hedging disabled)")
     fl_sv.add_argument("--no-provenance", action="store_true")
     fl_sv.add_argument("--subprocess", action="store_true",
                        help="run each backend as its own `repro serve` "
@@ -1731,7 +1722,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl_top = fl_sub.add_parser(
         "top",
         help="live terminal dashboard: per-backend load, breaker "
-        "state, hit/reroute/hedge rates, latency quantiles + exemplars",
+        "state, hit/reroute/shed rates, latency quantiles + exemplars",
     )
     fl_top.add_argument("--url", metavar="URL",
                         default=f"http://{_config.DEFAULT_SERVICE_HOST}:"
@@ -1749,7 +1740,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl_ev = fl_sub.add_parser(
         "events",
         help="dump the fleet's structured control-plane event log "
-        "(breaker trips, reroutes, hedges, sheds, quarantines)",
+        "(breaker trips, reroutes, sheds, queue rejections, quarantines)",
     )
     fl_ev.add_argument("--url", metavar="URL",
                        default=f"http://{_config.DEFAULT_SERVICE_HOST}:"

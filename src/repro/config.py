@@ -81,26 +81,21 @@ DEFAULT_FLEET_QUEUE_LIMIT = 4096
 # opens after BREAKER_FAILURE_THRESHOLD consecutive failures, waits
 # BREAKER_RESET_TIMEOUT_S, then admits one half-open probe whose success
 # readmits the backend (two-way membership, unlike the old one-way
-# mark_dead).  Hedging re-issues a still-pending warm-cache request to
-# the next ring node after the hedge delay; HEDGE_MIN_SAMPLES observed
-# latencies are required before a p99-derived delay is trusted.
+# mark_dead).
 DEFAULT_FLEET_PROBE_INTERVAL_S = 1.0
 DEFAULT_FLEET_PROBE_TIMEOUT_S = 5.0
 DEFAULT_BREAKER_FAILURE_THRESHOLD = 3
 DEFAULT_BREAKER_RESET_TIMEOUT_S = 2.0
-DEFAULT_HEDGE_MIN_DELAY_S = 0.01
-DEFAULT_HEDGE_MIN_SAMPLES = 50
-DEFAULT_HEDGE_TRACKING_CAPACITY = 4096
 #: Grace added on top of a request's deadline when bounding the blocking
 #: wait for its ticket: the worker-side shed normally answers first, the
 #: timed wait is only the backstop against a wedged backend.
 DEADLINE_WAIT_GRACE_S = 2.0
 
 # Fleet observability defaults.  The structured event log is a bounded
-# ring (control-plane transitions only — breaker flips, reroutes, hedges,
-# sheds, quarantines — so it is always on); ``repro fleet top`` polls
-# /v1/stats + /v1/metrics at the refresh interval, and ``repro fleet
-# events --follow`` polls /v1/events at the poll interval.
+# ring (control-plane transitions only — breaker flips, reroutes, sheds,
+# queue rejections, quarantines — so it is always on); ``repro fleet
+# top`` polls /v1/stats + /v1/metrics at the refresh interval, and
+# ``repro fleet events --follow`` polls /v1/events at the poll interval.
 DEFAULT_EVENT_LOG_CAPACITY = 2048
 DEFAULT_FLEET_TOP_INTERVAL_S = 2.0
 DEFAULT_EVENT_FOLLOW_INTERVAL_S = 1.0

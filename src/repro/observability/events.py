@@ -2,8 +2,8 @@
 
 The fleet's *data plane* (compile requests) is instrumented with spans
 and metrics that can be switched off for zero overhead.  The *control
-plane* — breaker transitions, reroutes, hedges fired, deadline sheds,
-store quarantines, queue rejections — is different: those transitions
+plane* — breaker transitions, reroutes, deadline sheds, store
+quarantines, queue rejections — is different: those transitions
 are rare (they happen when something is already going wrong), each one
 is exactly what an operator needs to see, and losing them because
 observability was off defeats the point.  So the event log is always on
@@ -38,8 +38,6 @@ EVENT_KINDS = (
     "breaker_closed",
     "backend_readmitted",
     "reroute",
-    "hedge_fired",
-    "hedge_won",
     "deadline_shed",
     "queue_rejected",
     "quarantine",

@@ -2,8 +2,8 @@
 
 A fleet request crosses processes: the router records a ``fleet.request``
 span, the backend it dispatched to records ``service.request`` /
-``service.execute`` spans, and a failover or hedge adds fragments from
-more backends.  Each process's :class:`~repro.observability.Tracer`
+``service.execute`` spans, and a failover adds fragments from more
+backends.  Each process's :class:`~repro.observability.Tracer`
 records its own timeline (its own pid-1 namespace, its own monotonic
 epoch), so the raw fragments are disconnected.
 

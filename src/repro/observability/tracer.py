@@ -122,7 +122,7 @@ class NullTracer:
 
     @contextmanager
     def trace_context(
-        self, trace_id: str, parent_span_id: Optional[str] = None
+        self, trace_id: Optional[str], parent_span_id: Optional[str] = None
     ) -> Iterator[None]:
         yield
 
@@ -209,7 +209,7 @@ class Tracer:
 
     @contextmanager
     def trace_context(
-        self, trace_id: str, parent_span_id: Optional[str] = None
+        self, trace_id: Optional[str], parent_span_id: Optional[str] = None
     ) -> Iterator[None]:
         """Activate a distributed trace context on the calling thread.
 
@@ -217,7 +217,12 @@ class Tracer:
         ``span_id`` / ``parent_span_id`` args and nest onto each other;
         the outermost span parents onto ``parent_span_id`` (the caller's
         span in another process, or ``None`` for a trace root).
+        ``trace_id=None`` activates nothing, so a caller with an
+        optional trace needs no untraced twin of its body.
         """
+        if trace_id is None:
+            yield
+            return
         stack = self._context_stack()
         stack.append((trace_id, parent_span_id))
         depth = len(stack)

@@ -17,8 +17,8 @@ The breaker is a three-state machine guarding dispatch to one backend:
 
 The clock is injectable so state transitions can be tested with a fake
 clock and zero sleeps; production uses ``time.monotonic``.  All methods
-are thread-safe: the router's dispatchers, the hedge threads, and the
-background prober all record into the same breaker.
+are thread-safe: the router's dispatchers and the background prober
+both record into the same breaker.
 """
 
 from __future__ import annotations

@@ -9,8 +9,11 @@ package amortizes it across requests *and* restarts:
 * :mod:`.store` — persistent content-addressed artifact store keyed by
   :func:`repro.ir.serialize.compile_digest`;
 * :mod:`.memo` — snapshot/load persistence for the in-memory sweep memo;
-* :mod:`.service` — the worker pool with bounded admission and
-  single-flight dedup;
+* :mod:`.admission` — the admission core the service and the router
+  share: digest, cache-tier lookup, single-flight, bounded queue,
+  worker threads, shutdown;
+* :mod:`.service` — the compile service: the admission core over
+  workers that run the pipeline;
 * :mod:`.http` / :mod:`.client` — stdlib JSON-over-HTTP server and
   client (``repro serve`` / ``repro submit``);
 * :mod:`.router` — consistent-hash ring + hot in-memory LRU artifact
@@ -25,6 +28,7 @@ See ``docs/service.md`` for the design: cache layering, digest
 versioning/invalidation, backpressure, sharding, and failure semantics.
 """
 
+from .admission import Ticket  # noqa: F401
 from .api import (  # noqa: F401
     STATUS_COALESCED,
     STATUS_ERROR,
@@ -41,7 +45,6 @@ from .dashboard import render_fleet_top, run_fleet_top  # noqa: F401
 from .fleet import (  # noqa: F401
     FleetConfig,
     FleetRouter,
-    FleetTicket,
     HttpBackend,
     LocalBackend,
     local_fleet,
@@ -49,7 +52,7 @@ from .fleet import (  # noqa: F401
 )
 from .memo import load_memo, save_memo  # noqa: F401
 from .router import HashRing, LRUCache  # noqa: F401
-from .service import CompileService, ServiceConfig, Ticket  # noqa: F401
+from .service import CompileService, ServiceConfig  # noqa: F401
 from .store import (  # noqa: F401
     ARTIFACT_VERSION,
     ArtifactStore,
@@ -68,7 +71,6 @@ __all__ = [
     "CompileService",
     "FleetConfig",
     "FleetRouter",
-    "FleetTicket",
     "HashRing",
     "HttpBackend",
     "LRUCache",

@@ -108,8 +108,6 @@ def render_fleet_top(
         f"reroutes {reroutes} "
         f"(saturation {service.get('reroutes_saturation', 0)}, "
         f"transport {service.get('reroutes_transport', 0)})  "
-        f"hedges {service.get('hedges', 0)}"
-        f"/{service.get('hedge_wins', 0)} won  "
         f"shed {shed}  errors {errors}"
     )
     lines.append(

@@ -1,27 +1,26 @@
 """The compile fleet: a digest-sharded front-end router over N backends.
 
-PR 5 made one process amortize compilation across requests; this layer
-amortizes it across a *fleet*.  The paper's premise makes compile
-requests ideal shard keys: the locality-aware mapping search is
-deterministic given the canonical IR digest, so any backend produces a
-byte-identical artifact for a digest and requests can be placed purely
-by content address.
+One process amortizes compilation across requests; this layer amortizes
+it across a *fleet*.  The paper's premise makes compile requests ideal
+shard keys: the locality-aware mapping search is deterministic given the
+canonical IR digest, so any backend produces a byte-identical artifact
+for a digest and requests can be placed purely by content address.
 
-Request lifecycle::
+:class:`FleetRouter` admits requests through
+:class:`~repro.service.admission.Admission`, the core it shares with the
+per-process service: its cache tiers are the hot LRU, then the shared
+disk store (a store hit refills the LRU).  A queued job is dispatched::
 
-    submit(request) / submit_many(requests)
-      resolve + digest                  (typed config errors surface here)
-      hot LRU tier          ── hit ──►  outcome served synchronously
-      shared disk store     ── hit ──►  outcome served + LRU fill
-      fleet single-flight   ── dup ──►  join the in-flight dispatch
-      enqueue                           dispatcher pool drains FIFO
     dispatcher:
       walk the ring's preference order for the digest
         backend dead / unreachable  →  mark dead, reroute to next node
         backend saturated (503)     →  jittered backoff, next node
         typed pipeline failure      →  final (retrying cannot fix it)
-      success: stamp served_by, fill LRU (+ write-through to the
-      router's store), resolve every joined waiter
+      success: stamp served_by, fill the LRU, resolve every joined waiter
+
+The backend that ran the pipeline wrote the artifact to the store the
+router reads (both fleet builders give router and backends one store
+root), so the router never writes the store itself.
 
 Single-flight is *fleet-wide* by construction: the router's in-flight
 table coalesces identical concurrent submissions before any backend
@@ -39,63 +38,48 @@ boots those as subprocesses).  The router only sees the one-method
 contract ``compile(request) -> CompileOutcome``.
 
 Failure semantics: transport errors mark a backend dead and reroute;
-503 saturation backs off (PR-3 deterministic full jitter, seeded by the
+503 saturation backs off (deterministic full jitter, seeded by the
 digest so concurrent routers don't herd) and tries the next ring node
 without declaring death; typed pipeline errors are answers, not
 failures — they resolve the waiters unchanged.  A request is only
 answered with a :class:`~repro.errors.ServiceError` outcome after every
 preference-order attempt is exhausted, and every reroute is counted
-(internal stats + the PR-4 ``fleet.reroutes`` metric).
+(internal stats + the ``fleet.reroutes`` metric).
 
-Self-healing (the fleet-resilience layer on top of the above):
+Self-healing:
 
 * **Health-checked membership** — a background prober hits every
   backend's ``/v1/health`` each ``probe_interval_s`` and feeds a
   per-backend :class:`~repro.resilience.breaker.CircuitBreaker`
   (closed → open on consecutive failures → half-open probe → readmit).
-  Death is no longer one-way: a restarted backend is readmitted within
-  a few probe intervals, without operator action.
+  Death is not one-way: a restarted backend is readmitted within a few
+  probe intervals, without operator action.
 * **Deadline propagation** — ``CompileRequest.deadline_s`` travels on
   the wire; the router sheds expired jobs with a typed 504-style
   outcome, caps every backoff sleep at the remaining budget, and
   forwards the *remaining* budget to each backend, whose admission
   queue sheds expired work before it can reach a worker.
-* **Hedged requests** — for warm digests (previously completed, so any
-  backend serves them from the shared store without pipeline work) a
-  still-pending dispatch is re-issued to the next ring node after a
-  configurable delay; first success wins.  The warm-digest gate plus
-  both single-flight layers mean hedges never duplicate a pipeline run.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import subprocess
 import sys
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future, InvalidStateError
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import config as _config
-from ..errors import (
-    DeadlineExceededError,
-    QueueFullError,
-    ReproError,
-    ServiceError,
-)
+from ..errors import QueueFullError, ReproError, ServiceError
 from ..observability import (
     emit_event,
     get_metrics,
     get_tracer,
     make_fragment,
     merge_snapshots,
-    new_trace_id,
     stitch_fragments,
 )
 from ..resilience.breaker import (
@@ -104,23 +88,11 @@ from ..resilience.breaker import (
     CircuitBreaker,
 )
 from ..resilience.retry import backoff_delays
-from .api import (
-    STATUS_COALESCED,
-    STATUS_ERROR,
-    STATUS_HIT,
-    STATUS_MISS,
-    CompileOutcome,
-    CompileRequest,
-)
+from .admission import Admission, Job, Ticket, error_outcome
+from .api import STATUS_ERROR, CompileOutcome, CompileRequest
 from .client import ServiceClient
 from .router import HashRing, LRUCache
-from .service import (
-    CompileService,
-    ServiceConfig,
-    error_outcome,
-    latency_summary,
-    percentile,
-)
+from .service import CompileService, ServiceConfig
 from .store import ArtifactStore, CompileArtifact
 
 #: ``served_by`` stamps for outcomes the router answered itself.
@@ -328,8 +300,7 @@ class FleetConfig:
     #: Bounded router admission, mirroring the per-backend queues.
     queue_limit: int = _config.DEFAULT_FLEET_QUEUE_LIMIT
     #: Root of the shared content-addressed store the router reads
-    #: before dispatching (and writes through after a backend miss);
-    #: ``None`` skips the disk tier router-side.
+    #: before dispatching; ``None`` skips the disk tier router-side.
     cache_dir: Optional[str] = None
     #: Background health-probe cadence; <= 0 disables the prober (tests
     #: drive :meth:`FleetRouter.probe_backends` directly instead).
@@ -340,104 +311,47 @@ class FleetConfig:
         _config.DEFAULT_BREAKER_FAILURE_THRESHOLD
     )
     breaker_reset_timeout_s: float = _config.DEFAULT_BREAKER_RESET_TIMEOUT_S
-    #: Fixed hedge delay for warm-digest requests; ``None`` disables
-    #: hedging unless ``hedge_p99`` derives a delay from observation.
-    hedge_delay_s: Optional[float] = None
-    #: Derive the hedge delay from the router's observed p99 latency
-    #: (floored at ``hedge_min_delay_s``; needs ``hedge_min_samples``
-    #: observations before it trusts the estimate).
-    hedge_p99: bool = False
-    hedge_min_delay_s: float = _config.DEFAULT_HEDGE_MIN_DELAY_S
-    hedge_min_samples: int = _config.DEFAULT_HEDGE_MIN_SAMPLES
-    #: Bound on the warm-digest set hedging consults (an LRU of digests
-    #: known to be servable from cache by any backend).
-    hedge_tracking_capacity: int = _config.DEFAULT_HEDGE_TRACKING_CAPACITY
     #: Clock the circuit breakers read; injectable so breaker state
     #: transitions are testable with a fake clock and zero sleeps.
     clock: Callable[[], float] = time.monotonic
 
 
-@dataclass
-class FleetTicket:
-    """One requester's non-blocking handle on a fleet outcome."""
-
-    digest: str
-    role: str
-    #: The distributed trace this submission was recorded under (``None``
-    #: when tracing is off); feed it to ``repro fleet trace``.
-    trace_id: Optional[str] = None
-    _future: Future = field(repr=False, default_factory=Future)
-
-    def poll(self) -> Optional[CompileOutcome]:
-        """The outcome if ready, else ``None`` (never blocks)."""
-        if not self._future.done():
-            return None
-        return self._future.result(timeout=0)
-
-    def wait(self, timeout: Optional[float] = None) -> CompileOutcome:
-        return self._future.result(timeout=timeout)
-
-    def done(self) -> bool:
-        return self._future.done()
-
-
-class _FleetJob:
-    __slots__ = (
-        "digest", "request", "future", "submitted_at", "waiters", "deadline",
-        "trace_id", "parent_span_id", "failover_causes",
-    )
-
-    def __init__(self, digest: str, request: CompileRequest) -> None:
-        self.digest = digest
-        self.request = request
-        self.future: Future = Future()
-        self.submitted_at = time.perf_counter()
-        self.waiters = 1
-        #: Absolute ``perf_counter`` instant the caller's budget expires.
-        self.deadline: Optional[float] = (
-            None
-            if request.deadline_s is None
-            else self.submitted_at + request.deadline_s
-        )
-        #: Distributed trace context the dispatcher re-activates; the
-        #: admission-side ``fleet.request`` span parents the dispatch.
-        self.trace_id: Optional[str] = request.trace_id
-        self.parent_span_id: Optional[str] = request.parent_span_id
-        #: Why each failed attempt failed ("saturation" | "transport"),
-        #: in attempt order — classifies the reroute in ``_finish``.
-        self.failover_causes: List[str] = []
-
-    def expired(self) -> bool:
-        return (
-            self.deadline is not None
-            and time.perf_counter() >= self.deadline
-        )
-
-    def remaining(self) -> Optional[float]:
-        """Seconds of budget left (``None`` = unbounded; may be <= 0)."""
-        if self.deadline is None:
-            return None
-        return self.deadline - time.perf_counter()
-
-
-def _offer(future: Future, outcome: CompileOutcome) -> bool:
-    """Resolve ``future`` if still pending; the hedge race's arbiter."""
-    try:
-        future.set_result(outcome)
-        return True
-    except InvalidStateError:
-        return False
-
-
-_STOP = object()
-
-
-class FleetRouter:
+class FleetRouter(Admission):
     """Front-end router: shard by digest, coalesce fleet-wide, fail over.
 
     ``owns_backends=True`` makes :meth:`close` also close every backend
     (the helpers that build whole fleets set it).
     """
+
+    label = "fleet router"
+    prefix = "fleet"
+    where_prefix = "fleet"
+    counters = {
+        "requests": "fleet.requests",
+        "lru_hits": "fleet.lru.hits",
+        "store_hits": "fleet.store.hits",
+        "misses": "fleet.misses",
+        "coalesced": "fleet.coalesced",
+        "queue_rejections": "fleet.queue.rejections",
+        "reroutes": "fleet.reroutes",
+        #: Reroutes split by what pushed the request off its primary:
+        #: ``saturation`` (503s/shedding — the node is alive, just
+        #: busy) vs ``transport`` (unreachable/dead).  The totals
+        #: column alone made a saturated fleet look like a broken
+        #: one; the split tells an operator which knob to turn.
+        "reroutes_saturation": "fleet.reroutes.saturation",
+        "reroutes_transport": "fleet.reroutes.transport",
+        "errors": "fleet.errors",
+        "completed": None,
+        #: Jobs answered with the typed 504-style shed outcome
+        #: because the caller's deadline budget ran out router-side.
+        "deadline_shed": "fleet.deadline.shed",
+        #: Health probes issued, breaker trips, and backends
+        #: readmitted (dead -> alive or breaker reclosed).
+        "probes": "fleet.probes",
+        "breaker_opened": "fleet.breaker.opened",
+        "readmissions": "fleet.breaker.readmitted",
+    }
 
     def __init__(
         self,
@@ -451,10 +365,6 @@ class FleetRouter:
         if len(set(names)) != len(names):
             raise ServiceError(f"backend names must be unique: {names}")
         self.config = config or FleetConfig()
-        if self.config.dispatchers < 1:
-            raise ServiceError("fleet needs at least one dispatcher")
-        if self.config.queue_limit < 1:
-            raise ServiceError("fleet needs a queue limit of at least 1")
         self.backends: Dict[str, Backend] = {b.name: b for b in backends}
         self.ring = HashRing(names)
         self.lru = LRUCache(self.config.lru_capacity)
@@ -464,41 +374,6 @@ class FleetRouter:
             else None
         )
         self._owns_backends = owns_backends
-        self._lock = threading.Lock()
-        self._inflight: Dict[str, _FleetJob] = {}
-        self._pending = 0
-        self._closed = False
-        self._started_at = time.time()
-        self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-        self._latencies_ms: "deque[float]" = deque(maxlen=8192)
-        self._counts = {
-            "requests": 0,
-            "lru_hits": 0,
-            "store_hits": 0,
-            "misses": 0,
-            "coalesced": 0,
-            "reroutes": 0,
-            #: Reroutes split by what pushed the request off its primary:
-            #: ``saturation`` (503s/shedding — the node is alive, just
-            #: busy) vs ``transport`` (unreachable/dead).  The totals
-            #: column alone made a saturated fleet look like a broken
-            #: one; the split tells an operator which knob to turn.
-            "reroutes_saturation": 0,
-            "reroutes_transport": 0,
-            "errors": 0,
-            "completed": 0,
-            #: Jobs answered with the typed 504-style shed outcome
-            #: because the caller's deadline budget ran out router-side.
-            "deadline_shed": 0,
-            #: Hedged dispatches issued / hedges that answered first.
-            "hedges": 0,
-            "hedge_wins": 0,
-            #: Health probes issued, breaker trips, and backends
-            #: readmitted (dead -> alive or breaker reclosed).
-            "probes": 0,
-            "breaker_opened": 0,
-            "readmissions": 0,
-        }
         self._per_backend: Dict[str, Dict[str, int]] = {
             name: {
                 "served": 0,
@@ -527,20 +402,7 @@ class FleetRouter:
             )
             for name in names
         }
-        #: Digests any backend can serve without pipeline work (they
-        #: completed once, so the shared store has the artifact): the
-        #: only requests hedging is allowed to duplicate on the wire.
-        self._hedgeable = LRUCache(self.config.hedge_tracking_capacity)
-        self._dispatchers = [
-            threading.Thread(
-                target=self._dispatch_loop,
-                name=f"fleet-dispatch-{i}",
-                daemon=True,
-            )
-            for i in range(self.config.dispatchers)
-        ]
-        for thread in self._dispatchers:
-            thread.start()
+        super().__init__(self.config.dispatchers, self.config.queue_limit)
         self._probe_stop = threading.Event()
         self._prober: Optional[threading.Thread] = None
         if self.config.probe_interval_s and self.config.probe_interval_s > 0:
@@ -551,12 +413,8 @@ class FleetRouter:
 
     # -- public API ------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def submit(self, request: CompileRequest) -> FleetTicket:
-        """Admit one request; returns immediately with a handle.
+    def submit(self, request: CompileRequest) -> Ticket:
+        """Admit one request; returns immediately with a :class:`Ticket`.
 
         Raises the same typed errors as
         :meth:`~repro.service.service.CompileService.submit`:
@@ -565,121 +423,9 @@ class FleetRouter:
         admission bound is hit, :class:`~repro.errors.ServiceError`
         after :meth:`close`.
         """
-        if self._closed:
-            raise ServiceError("fleet router is shut down")
-        t0 = time.perf_counter()
-        metrics = get_metrics()
-        tracer = get_tracer()
-        # Root a distributed trace (or join the caller's) whenever the
-        # router's tracer is live; disabled tracing stays id-free.
-        trace_id = request.trace_id or (
-            new_trace_id() if tracer.enabled else None
-        )
-        request_span_id: Optional[str] = None
-        if trace_id is not None:
-            with tracer.trace_context(trace_id, request.parent_span_id):
-                with tracer.span(
-                    "fleet.request", app=request.app or "<ir>"
-                ) as sp:
-                    digest = request.digest()
-                    request_span_id = getattr(sp, "span_id", None)
-        else:
-            with tracer.span("fleet.request", app=request.app or "<ir>"):
-                digest = request.digest()
-        self._count("requests", metrics, "fleet.requests")
+        return self._admit(request)
 
-        if request.deadline_s is not None and request.deadline_s <= 0:
-            # The budget was spent before the request reached us: shed
-            # at admission — cache tiers are instant, but serving an
-            # answer nobody waits for helps no one.
-            return self._shed_ticket(
-                digest,
-                "deadline budget already spent at fleet admission "
-                f"({request.deadline_s:.3f}s remaining)",
-                metrics,
-                trace_id=trace_id,
-            )
-
-        artifact = self.lru.get(digest)
-        if artifact is not None:
-            self._count("lru_hits", metrics, "fleet.lru.hits")
-            return self._resolved_ticket(
-                digest, artifact, SERVED_BY_LRU, t0, metrics, trace_id
-            )
-        metrics.counter("fleet.lru.misses").inc()
-
-        if self.store is not None:
-            stored = self.store.get(digest)
-            if stored is not None:
-                payload = stored.to_dict()
-                self.lru.put(digest, payload)
-                self._count("store_hits", metrics, "fleet.store.hits")
-                return self._resolved_ticket(
-                    digest, payload, SERVED_BY_STORE, t0, metrics, trace_id
-                )
-
-        with self._lock:
-            if self._closed:
-                raise ServiceError("fleet router is shut down")
-            job = self._inflight.get(digest)
-            if job is not None:
-                job.waiters += 1
-                # Honor the most permissive joined waiter's budget.
-                if job.deadline is not None:
-                    joined = (
-                        None
-                        if request.deadline_s is None
-                        else time.perf_counter() + request.deadline_s
-                    )
-                    if joined is None:
-                        job.deadline = None
-                    elif joined > job.deadline:
-                        job.deadline = joined
-                self._counts["coalesced"] += 1
-                metrics.counter("fleet.coalesced").inc()
-                # A coalesced waiter shares the winning dispatch's
-                # outcome, so it shares that dispatch's trace too.
-                return FleetTicket(
-                    digest=digest,
-                    role=STATUS_COALESCED,
-                    trace_id=job.trace_id,
-                    _future=job.future,
-                )
-            if self._pending >= self.config.queue_limit:
-                metrics.counter("fleet.queue.rejections").inc()
-                emit_event(
-                    "queue_rejected",
-                    digest=digest,
-                    queue_depth=self._pending,
-                    queue_limit=self.config.queue_limit,
-                    where="fleet",
-                    trace_id=trace_id,
-                )
-                raise QueueFullError(
-                    f"fleet dispatch queue is full "
-                    f"({self._pending}/{self.config.queue_limit}); "
-                    "retry shortly"
-                )
-            job = _FleetJob(digest, request)
-            job.trace_id = trace_id
-            if request_span_id is not None:
-                job.parent_span_id = request_span_id
-            self._inflight[digest] = job
-            self._pending += 1
-            self._counts["misses"] += 1
-            metrics.gauge("fleet.queue.depth").set(self._pending)
-            self._queue.put(job)
-        metrics.counter("fleet.misses").inc()
-        return FleetTicket(
-            digest=digest,
-            role=STATUS_MISS,
-            trace_id=trace_id,
-            _future=job.future,
-        )
-
-    def submit_many(
-        self, requests: Sequence[CompileRequest]
-    ) -> List[FleetTicket]:
+    def submit_many(self, requests: Sequence[CompileRequest]) -> List[Ticket]:
         """Batch admission: one ticket per request, in order.
 
         Never raises per-request errors mid-batch — a request the
@@ -687,56 +433,16 @@ class FleetRouter:
         gets a ticket already resolved with the typed error outcome, so
         a campaign always gets exactly ``len(requests)`` answers.
         """
-        tickets: List[FleetTicket] = []
+        tickets: List[Ticket] = []
         for request in requests:
             try:
                 tickets.append(self.submit(request))
             except ReproError as exc:
-                ticket = FleetTicket(digest="", role=STATUS_ERROR)
-                ticket._future.set_result(error_outcome("", exc))
-                self._count(
-                    "errors", get_metrics(), "fleet.errors"
+                self._count("errors")
+                tickets.append(
+                    Ticket.resolved(error_outcome("", exc), STATUS_ERROR)
                 )
-                tickets.append(ticket)
         return tickets
-
-    def compile(
-        self, request: CompileRequest, timeout: Optional[float] = None
-    ) -> CompileOutcome:
-        """Submit and wait (the fleet HTTP front end calls this).
-
-        Deadline-carrying requests never wait unboundedly: absent an
-        explicit ``timeout`` the wait is capped at the budget plus a
-        small grace, resolving to the typed shed outcome on expiry (the
-        dispatch itself keeps running for any coalesced waiters)."""
-        ticket = self.submit(request)
-        if timeout is None and request.deadline_s is not None:
-            bounded = (
-                max(0.0, request.deadline_s) + _config.DEADLINE_WAIT_GRACE_S
-            )
-            try:
-                return ticket.wait(timeout=bounded)
-            except FutureTimeoutError:
-                self._count(
-                    "deadline_shed", get_metrics(), "fleet.deadline.shed"
-                )
-                emit_event(
-                    "deadline_shed",
-                    digest=ticket.digest,
-                    deadline_s=request.deadline_s,
-                    where="fleet-wait",
-                    trace_id=ticket.trace_id,
-                )
-                outcome = error_outcome(
-                    ticket.digest,
-                    DeadlineExceededError(
-                        f"fleet request still pending {bounded:.3f}s after "
-                        f"its {request.deadline_s:.3f}s deadline; shed"
-                    ),
-                )
-                outcome.trace_id = ticket.trace_id
-                return outcome
-        return ticket.wait(timeout=timeout)
 
     def clear_cache(self) -> int:
         """Drop the LRU tier and every stored artifact (router + any
@@ -751,9 +457,7 @@ class FleetRouter:
         difference, plus per-backend liveness and breaker state.  The
         fleet is ``ok`` while it can still serve — at least one backend
         alive with a non-open breaker."""
-        with self._lock:
-            pending = self._pending
-        limit = self.config.queue_limit
+        snapshot = super().health()
         backends = {
             name: {
                 "alive": backend.alive(),
@@ -761,32 +465,21 @@ class FleetRouter:
             }
             for name, backend in self.backends.items()
         }
-        servable = any(
+        snapshot["ok"] = snapshot["ok"] and any(
             b["alive"] and b["breaker"] != BREAKER_OPEN
             for b in backends.values()
         )
-        return {
-            "ok": not self._closed and servable,
-            "closed": self._closed,
-            "queue_depth": pending,
-            "queue_limit": limit,
-            "saturation": pending / limit if limit else 0.0,
-            "workers": self.config.dispatchers,
-            "uptime_s": time.time() - self._started_at,
-            "backends": backends,
-        }
+        snapshot["backends"] = backends
+        return snapshot
 
     def stats(self) -> Dict[str, Any]:
         """A JSON-serializable snapshot of fleet health."""
         with self._lock:
-            counts = dict(self._counts)
-            pending = self._pending
             per_backend = {
                 name: dict(stats)
                 for name, stats in self._per_backend.items()
             }
             last_health = dict(self._last_health)
-            latencies = sorted(self._latencies_ms)
         backends = {
             name: {
                 **per_backend[name],
@@ -808,14 +501,10 @@ class FleetRouter:
         snapshot: Dict[str, Any] = {
             "backends": backends,
             "ring": self.ring.nodes(),
-            "queue_depth": pending,
-            "queue_limit": self.config.queue_limit,
             "dispatchers": self.config.dispatchers,
-            "uptime_s": time.time() - self._started_at,
             "lru": self.lru.stats(),
-            **counts,
+            **self._admission_stats(),
         }
-        snapshot["latency_ms"] = latency_summary(latencies)
         if self.store is not None:
             snapshot["store"] = self.store.stats()
         return snapshot
@@ -875,24 +564,13 @@ class FleetRouter:
         return stitch_fragments(fragments, trace_id)
 
     def close(self, close_backends: Optional[bool] = None) -> None:
-        """Drain dispatchers; resolve every admitted job.
-
-        Jobs queued ahead of the stop sentinels are dispatched; anything
-        stranded afterwards is rejected with a typed ServiceError
-        outcome so no waiter blocks forever.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for _ in self._dispatchers:
-                self._queue.put(_STOP)
+        """Stop the prober, drain dispatchers, resolve every admitted job
+        (see :meth:`~repro.service.admission.Admission._shutdown`)."""
         self._probe_stop.set()
         if self._prober is not None:
             self._prober.join(timeout=30)
-        for thread in self._dispatchers:
-            thread.join(timeout=120)
-        self._reject_queued_jobs()
+        if not self._shutdown():
+            return
         should_close = (
             self._owns_backends if close_backends is None else close_backends
         )
@@ -903,49 +581,61 @@ class FleetRouter:
                 except ReproError:
                     pass
 
-    def __enter__(self) -> "FleetRouter":
-        return self
+    # -- admission hooks -------------------------------------------------
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _lookup(
+        self, digest: str
+    ) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
+        artifact = self.lru.get(digest)
+        if artifact is not None:
+            self._count("lru_hits")
+            return artifact, SERVED_BY_LRU
+        get_metrics().counter("fleet.lru.misses").inc()
+        stored = self.store.get(digest) if self.store is not None else None
+        if stored is None:
+            return None
+        payload = stored.to_dict()
+        self.lru.put(digest, payload)
+        self._count("store_hits")
+        return payload, SERVED_BY_STORE
+
+    def _execute(self, job: Job) -> CompileOutcome:
+        """Walk the ring for the job's digest, then account for where
+        the answer came from and fill the LRU."""
+        order = self.ring.preference(job.digest)
+        primary = order[0]
+        causes: List[str] = []
+        outcome = self._failover_walk(job, order, causes)
+        if outcome.ok:
+            self._count("completed")
+            if outcome.artifact is not None:
+                self.lru.put(job.digest, outcome.artifact)
+        served = outcome.served_by
+        if served not in self.backends:
+            return outcome
+        with self._lock:
+            self._per_backend[served]["served"] += 1
+            if served != primary:
+                self._per_backend[primary]["reroutes_from"] += 1
+        get_metrics().counter(f"fleet.shard.{served}.served").inc()
+        if served != primary:
+            # Why the request left its primary: any transport failure
+            # along the walk outranks saturation (it is the more
+            # actionable fact).
+            cause = "transport" if "transport" in causes else "saturation"
+            self._count("reroutes")
+            self._count(f"reroutes_{cause}")
+            emit_event(
+                "reroute",
+                digest=job.digest,
+                cause=cause,
+                primary=primary,
+                served_by=served,
+                trace_id=job.trace_id,
+            )
+        return outcome
 
     # -- dispatch --------------------------------------------------------
-
-    def _resolved_ticket(
-        self,
-        digest: str,
-        artifact: Dict[str, Any],
-        served_by: str,
-        t0: float,
-        metrics,
-        trace_id: Optional[str] = None,
-    ) -> FleetTicket:
-        latency_ms = (time.perf_counter() - t0) * 1e3
-        self._observe_latency(latency_ms, metrics, trace_id)
-        # A cache-tier hit proves the artifact exists fleet-wide: the
-        # digest is warm, so a future dispatch of it may hedge safely.
-        self._hedgeable.put(digest, True)
-        ticket = FleetTicket(
-            digest=digest, role=STATUS_HIT, trace_id=trace_id
-        )
-        ticket._future.set_result(
-            CompileOutcome(
-                digest=digest,
-                status=STATUS_HIT,
-                artifact=artifact,
-                latency_ms=latency_ms,
-                served_by=served_by,
-                trace_id=trace_id,
-            )
-        )
-        return ticket
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            self._dispatch(item)
 
     def _route_order(self, order: List[str]) -> List[str]:
         """Preference order with unhealthy nodes demoted to last resort.
@@ -963,126 +653,17 @@ class FleetRouter:
         rest = [n for n in order if n not in healthy]
         return healthy + rest
 
-    def _shed_ticket(
-        self, digest: str, detail: str, metrics,
-        trace_id: Optional[str] = None,
-    ) -> FleetTicket:
-        """A ticket pre-resolved with the typed deadline-shed outcome."""
-        self._count("deadline_shed", metrics, "fleet.deadline.shed")
-        self._count("errors", metrics, "fleet.errors")
-        emit_event(
-            "deadline_shed",
-            digest=digest,
-            where="fleet-admission",
-            trace_id=trace_id,
-        )
-        ticket = FleetTicket(
-            digest=digest, role=STATUS_ERROR, trace_id=trace_id
-        )
-        outcome = error_outcome(digest, DeadlineExceededError(detail))
-        outcome.trace_id = trace_id
-        ticket._future.set_result(outcome)
-        return ticket
-
-    def _shed_outcome(
-        self, job: _FleetJob, detail: str, metrics
-    ) -> CompileOutcome:
-        self._count("deadline_shed", metrics, "fleet.deadline.shed")
-        emit_event(
-            "deadline_shed",
-            digest=job.digest,
-            where="fleet-dispatch",
-            trace_id=job.trace_id,
-        )
-        outcome = error_outcome(job.digest, DeadlineExceededError(detail))
-        outcome.trace_id = job.trace_id
-        return outcome
-
-    def _dispatch(self, job: _FleetJob) -> None:
-        """Drive one job to an outcome, hedging when eligible.
-
-        Without hedging this is just ``_failover_walk``.  With it, the
-        primary walk runs in a helper thread while the dispatcher waits
-        ``hedge_delay``; if the primary is still pending, one hedge goes
-        to the next ring node and the first result to land wins the
-        job's future (losers resolve a throwaway).  ``_finish`` runs
-        exactly once, here, with whichever outcome won.
-        """
-        metrics = get_metrics()
-        order = self.ring.preference(job.digest)
-        primary = order[0]
-        hedge_delay = self._hedge_delay(job, order)
-        if hedge_delay is None:
-            outcome = self._failover_walk(job, order, metrics)
-            self._finish(job, outcome, primary, metrics)
-            return
-        winner: Future = Future()
-        threading.Thread(
-            target=lambda: _offer(
-                winner, self._failover_walk(job, order, metrics)
-            ),
-            name="fleet-hedge-primary",
-            daemon=True,
-        ).start()
-        try:
-            outcome = winner.result(timeout=hedge_delay)
-        except FutureTimeoutError:
-            self._count("hedges", metrics, "fleet.hedges")
-            emit_event(
-                "hedge_fired",
-                digest=job.digest,
-                primary=primary,
-                delay_s=hedge_delay,
-                trace_id=job.trace_id,
-            )
-            hedged = self._hedge_attempt(job, order, metrics)
-            if hedged is not None and _offer(winner, hedged):
-                self._count("hedge_wins", metrics, "fleet.hedge.wins")
-                emit_event(
-                    "hedge_won",
-                    digest=job.digest,
-                    served_by=hedged.served_by,
-                    trace_id=job.trace_id,
-                )
-            remaining = job.remaining()
-            final_wait = (
-                None
-                if remaining is None
-                else max(0.0, remaining) + _config.DEADLINE_WAIT_GRACE_S
-            )
-            try:
-                outcome = winner.result(timeout=final_wait)
-            except FutureTimeoutError:
-                outcome = self._shed_outcome(
-                    job,
-                    "deadline expired with both the primary dispatch and "
-                    "its hedge still pending; shed",
-                    metrics,
-                )
-        self._finish(job, outcome, primary, metrics)
-
     def _failover_walk(
-        self, job: _FleetJob, order: List[str], metrics
+        self, job: Job, order: List[str], causes: List[str]
     ) -> CompileOutcome:
         """Walk the preference order until someone answers.
 
         Deadline-aware at every step: an expired job is shed before the
         next attempt, each forwarded request carries only the remaining
         budget, and backoff sleeps never exceed what is left of it.
+        Each failed attempt appends its cause ("saturation" |
+        "transport") to ``causes``.
         """
-        # The walk may run on a dispatcher thread or a hedge-primary
-        # helper thread; either way the job's trace context is
-        # re-activated here so dispatch spans join the request's trace.
-        if job.trace_id is not None:
-            with get_tracer().trace_context(
-                job.trace_id, job.parent_span_id
-            ):
-                return self._failover_walk_traced(job, order, metrics)
-        return self._failover_walk_traced(job, order, metrics)
-
-    def _failover_walk_traced(
-        self, job: _FleetJob, order: List[str], metrics
-    ) -> CompileOutcome:
         # Per-digest jitter seed: concurrent routers backing off for the
         # same saturated node spread out instead of herding in lockstep.
         delays = backoff_delays(
@@ -1093,23 +674,13 @@ class FleetRouter:
         )
         last_exc: Optional[BaseException] = None
         attempted: List[str] = []
-
-        def _sleep(attempt: int) -> None:
-            delay = delays[attempt]
-            remaining = job.remaining()
-            if remaining is not None:
-                delay = min(delay, max(0.0, remaining))
-            if delay > 0:
-                time.sleep(delay)
-
         for attempt in range(self.config.retries + 1):
             if job.expired():
-                return self._shed_outcome(
-                    job,
+                return self._shed(
+                    job.digest, job.trace_id, "dispatch",
                     "deadline expired during fleet dispatch "
                     f"(tried {', '.join(attempted) or 'no backend yet'}); "
                     "shed without further attempts",
-                    metrics,
                 )
             candidates = self._route_order(order)
             # Most-preferred healthy node not yet tried; once every node
@@ -1119,85 +690,74 @@ class FleetRouter:
                 candidates[attempt % len(candidates)],
             )
             backend = self.backends[name]
-            attempted.append(backend.name)
-            remaining = job.remaining()
-            request = (
-                job.request
-                if remaining is None
-                else job.request.with_deadline(remaining)
-            )
+            attempted.append(name)
+            # Forward only what is left of the (possibly join-widened)
+            # budget, never the first submitter's original deadline.
+            request = job.request.with_deadline(job.remaining())
             try:
-                with get_tracer().span(
-                    "fleet.dispatch", backend=backend.name
-                ) as sp:
+                with get_tracer().span("fleet.dispatch", backend=name) as sp:
                     # The next hop's spans parent onto this dispatch
                     # span — the cross-process link the stitcher draws.
-                    span_id = getattr(sp, "span_id", None)
                     if job.trace_id is not None:
                         request = request.with_trace(
-                            job.trace_id, span_id or job.parent_span_id
+                            job.trace_id,
+                            getattr(sp, "span_id", None)
+                            or job.parent_span_id,
                         )
                     result = backend.compile(request)
             except QueueFullError as exc:
                 # Saturation is transient: jittered backoff, next node,
                 # backend stays in the ring and its breaker is NOT fed —
                 # a saturated backend is alive, just busy.
-                last_exc = exc
-                self._record_failure(
-                    backend.name, metrics, "saturation", job
-                )
-                if attempt < self.config.retries:
-                    _sleep(attempt)
-                continue
+                last_exc, cause = exc, "saturation"
             except ServiceError as exc:
                 # Unreachable / shut down: dead until the prober (or a
                 # later success) readmits it; the breaker accumulates
                 # the failure so half-open probing is rate-limited.
-                last_exc = exc
+                last_exc, cause = exc, "transport"
                 backend.mark_dead()
-                self._breaker_failure(backend.name, metrics)
-                self._record_failure(
-                    backend.name, metrics, "transport", job
-                )
-                metrics.counter("fleet.backend.deaths").inc()
-                if attempt < self.config.retries:
-                    _sleep(attempt)
-                continue
+                self._breaker_failure(name)
+                get_metrics().counter("fleet.backend.deaths").inc()
             except ReproError as exc:
                 # Typed request/pipeline error: an answer, not a routing
                 # failure — retrying elsewhere cannot change it.
                 outcome = error_outcome(job.digest, exc)
-                outcome.served_by = backend.name
+                outcome.served_by = name
                 return outcome
-            if result.status == STATUS_ERROR and result.error is not None:
-                if result.error.error_type == "DeadlineExceededError":
+            else:
+                error_type = (
+                    result.error.error_type
+                    if result.status == STATUS_ERROR and result.error
+                    else None
+                )
+                if error_type == "DeadlineExceededError":
                     # The backend shed on the propagated deadline: the
                     # budget is spent everywhere, so this is final.
-                    self._count(
-                        "deadline_shed", metrics, "fleet.deadline.shed"
-                    )
-                    result.served_by = backend.name
+                    self._count("deadline_shed")
+                    result.served_by = name
                     return result
-                if result.error.error_type in (
-                    "ServiceError", "QueueFullError"
-                ):
-                    # The backend answered, but with its own
-                    # availability failure (e.g. it shut down before the
-                    # job ran) — retryable on another node, not a
-                    # pipeline verdict.
-                    last_exc = ServiceError(result.error.message)
-                    cause = (
-                        "saturation"
-                        if result.error.error_type == "QueueFullError"
-                        else "transport"
-                    )
-                    self._record_failure(backend.name, metrics, cause, job)
-                    if attempt < self.config.retries:
-                        _sleep(attempt)
-                    continue
-            self._record_success(backend.name, metrics)
-            result.served_by = backend.name
-            return result
+                if error_type not in ("ServiceError", "QueueFullError"):
+                    self._record_success(name)
+                    result.served_by = name
+                    return result
+                # The backend answered, but with its own availability
+                # failure (e.g. it shut down before the job ran) —
+                # retryable on another node, not a pipeline verdict.
+                last_exc = ServiceError(result.error.message)
+                cause = (
+                    "saturation"
+                    if error_type == "QueueFullError"
+                    else "transport"
+                )
+            self._record_failure(name, cause)
+            causes.append(cause)
+            if attempt < self.config.retries:
+                delay = delays[attempt]
+                remaining = job.remaining()
+                if remaining is not None:
+                    delay = min(delay, max(0.0, remaining))
+                if delay > 0:
+                    time.sleep(delay)
         return error_outcome(
             job.digest,
             ServiceError(
@@ -1206,105 +766,6 @@ class FleetRouter:
                 f"{last_exc}"
             ),
         )
-
-    # -- hedging ---------------------------------------------------------
-
-    def _hedge_delay(
-        self, job: _FleetJob, order: List[str]
-    ) -> Optional[float]:
-        """How long to wait before hedging; ``None`` = never hedge.
-
-        Only warm digests are eligible — ones a previous dispatch
-        completed, so the shared store serves them from any backend
-        without pipeline work.  That gate is what makes "hedges never
-        duplicate a pipeline run" structural rather than probabilistic.
-        """
-        if len(order) < 2:
-            return None
-        if self._hedgeable.get(job.digest) is None:
-            return None
-        if self.config.hedge_delay_s is not None:
-            return max(0.0, self.config.hedge_delay_s)
-        if not self.config.hedge_p99:
-            return None
-        with self._lock:
-            latencies = sorted(self._latencies_ms)
-        if len(latencies) < self.config.hedge_min_samples:
-            return None
-        p99_s = percentile(latencies, 0.99) / 1e3
-        return max(self.config.hedge_min_delay_s, p99_s)
-
-    def _hedge_attempt(
-        self, job: _FleetJob, order: List[str], metrics
-    ) -> Optional[CompileOutcome]:
-        """One extra dispatch to the next healthy non-primary ring node.
-
-        Returns ``None`` when there is no eligible node or the hedge
-        itself failed in a retryable way — the primary walk is still
-        running and remains the job's answer of record.
-        """
-        name = next(
-            (
-                n for n in order[1:]
-                if self.backends[n].alive()
-                and self._breakers[n].available()
-            ),
-            None,
-        )
-        if name is None:
-            return None
-        backend = self.backends[name]
-        remaining = job.remaining()
-        request = (
-            job.request
-            if remaining is None
-            else job.request.with_deadline(remaining)
-        )
-        tracer = get_tracer()
-        try:
-            if job.trace_id is not None:
-                with tracer.trace_context(job.trace_id, job.parent_span_id):
-                    with tracer.span(
-                        "fleet.hedge", backend=backend.name
-                    ) as sp:
-                        span_id = getattr(sp, "span_id", None)
-                        request = request.with_trace(
-                            job.trace_id, span_id or job.parent_span_id
-                        )
-                        result = backend.compile(request)
-            else:
-                with tracer.span("fleet.hedge", backend=backend.name):
-                    result = backend.compile(request)
-        except QueueFullError:
-            self._record_failure(backend.name, metrics, "saturation")
-            return None
-        except ServiceError:
-            backend.mark_dead()
-            self._breaker_failure(backend.name, metrics)
-            self._record_failure(backend.name, metrics, "transport")
-            metrics.counter("fleet.backend.deaths").inc()
-            return None
-        except ReproError as exc:
-            # A typed verdict is final no matter which dispatch got it.
-            outcome = error_outcome(job.digest, exc)
-            outcome.served_by = backend.name
-            return outcome
-        if (
-            result.status == STATUS_ERROR
-            and result.error is not None
-            and result.error.error_type
-            in ("ServiceError", "QueueFullError")
-        ):
-            cause = (
-                "saturation"
-                if result.error.error_type == "QueueFullError"
-                else "transport"
-            )
-            self._record_failure(backend.name, metrics, cause)
-            return None
-        self._record_success(backend.name, metrics)
-        result.served_by = backend.name
-        return result
 
     # -- health probing --------------------------------------------------
 
@@ -1318,7 +779,6 @@ class FleetRouter:
         counterpart to dispatch-time ``mark_dead``.
         """
         results: Dict[str, bool] = {}
-        metrics = get_metrics()
         for name, backend in self.backends.items():
             breaker = self._breakers[name]
             if breaker.state == BREAKER_OPEN:
@@ -1326,7 +786,7 @@ class FleetRouter:
                     results[name] = False  # cooling down; skip this round
                     continue
                 emit_event("breaker_half_open", backend=name)
-            self._count("probes", metrics, "fleet.probes")
+            self._count("probes")
             try:
                 with get_tracer().span("fleet.probe", backend=name):
                     health = backend.probe()
@@ -1334,17 +794,15 @@ class FleetRouter:
                     self._last_health[name] = health
             except ReproError:
                 if breaker.record_failure():
-                    self._count(
-                        "breaker_opened", metrics, "fleet.breaker.opened"
-                    )
+                    self._count("breaker_opened")
                     emit_event(
                         "breaker_open", backend=name, via="probe"
                     )
                     backend.mark_dead()
-                self._set_breaker_gauge(name, metrics)
+                self._set_breaker_gauge(name)
                 results[name] = False
                 continue
-            self._record_success(name, metrics)
+            self._record_success(name)
             results[name] = True
         return results
 
@@ -1359,7 +817,7 @@ class FleetRouter:
 
     # -- breaker bookkeeping ---------------------------------------------
 
-    def _record_success(self, name: str, metrics) -> None:
+    def _record_success(self, name: str) -> None:
         """A backend served traffic (or passed a probe): readmit it."""
         readmitted = self._breakers[name].record_success()
         backend = self.backends[name]
@@ -1369,145 +827,32 @@ class FleetRouter:
         if readmitted:
             emit_event("breaker_closed", backend=name)
         if readmitted or revived:
-            self._count("readmissions", metrics, "fleet.breaker.readmitted")
+            self._count("readmissions")
             emit_event("backend_readmitted", backend=name)
-        self._set_breaker_gauge(name, metrics)
+        self._set_breaker_gauge(name)
 
-    def _breaker_failure(self, name: str, metrics) -> None:
+    def _breaker_failure(self, name: str) -> None:
         """Feed one transport failure to a backend's breaker."""
         if self._breakers[name].record_failure():
-            self._count("breaker_opened", metrics, "fleet.breaker.opened")
+            self._count("breaker_opened")
             emit_event("breaker_open", backend=name, via="dispatch")
-        self._set_breaker_gauge(name, metrics)
+        self._set_breaker_gauge(name)
 
-    def _set_breaker_gauge(self, name: str, metrics) -> None:
-        metrics.gauge(f"fleet.breaker.{name}.state").set(
+    def _set_breaker_gauge(self, name: str) -> None:
+        get_metrics().gauge(f"fleet.breaker.{name}.state").set(
             BREAKER_STATE_CODES[self._breakers[name].state]
         )
 
-    def _finish(
-        self,
-        job: _FleetJob,
-        outcome: CompileOutcome,
-        primary: str,
-        metrics,
-    ) -> None:
-        served = outcome.served_by
-        # Why the request left its primary: any transport failure along
-        # the walk outranks saturation (it is the more actionable fact).
-        reroute_cause = (
-            "transport"
-            if "transport" in job.failover_causes
-            else "saturation"
-        )
-        with self._lock:
-            if outcome.status == STATUS_ERROR:
-                self._counts["errors"] += 1
-            else:
-                self._counts["completed"] += 1
-            if served in self._per_backend:
-                self._per_backend[served]["served"] += 1
-                if served != primary:
-                    self._counts["reroutes"] += 1
-                    self._counts[f"reroutes_{reroute_cause}"] += 1
-                    self._per_backend[primary]["reroutes_from"] += 1
-        if outcome.status == STATUS_ERROR:
-            metrics.counter("fleet.errors").inc()
-        elif served in self._per_backend:
-            metrics.counter(f"fleet.shard.{served}.served").inc()
-            if served != primary:
-                metrics.counter("fleet.reroutes").inc()
-                metrics.counter(f"fleet.reroutes.{reroute_cause}").inc()
-                emit_event(
-                    "reroute",
-                    digest=job.digest,
-                    cause=reroute_cause,
-                    primary=primary,
-                    served_by=served,
-                    trace_id=job.trace_id,
-                )
-        if outcome.ok:
-            # Completed once -> any backend can serve it from the shared
-            # store: the digest becomes hedge-eligible.
-            self._hedgeable.put(job.digest, True)
-        if outcome.ok and outcome.artifact is not None:
-            self.lru.put(job.digest, outcome.artifact)
-            if self.store is not None and outcome.status == STATUS_MISS:
-                # Write-through: a freshly compiled artifact from a
-                # backend with its own store root still lands in the
-                # router's disk tier (idempotent for a shared root).
-                try:
-                    self.store.put(
-                        CompileArtifact.from_dict(outcome.artifact)
-                    )
-                except (ValueError, KeyError, TypeError, OSError):
-                    pass  # the disk tier is an optimization, never a gate
-        latency_ms = (time.perf_counter() - job.submitted_at) * 1e3
-        outcome.latency_ms = latency_ms
-        if outcome.trace_id is None:
-            outcome.trace_id = job.trace_id
-        self._observe_latency(latency_ms, metrics, job.trace_id)
-        with self._lock:
-            self._inflight.pop(job.digest, None)
-            self._pending -= 1
-            metrics.gauge("fleet.queue.depth").set(self._pending)
-        job.future.set_result(outcome)
-
-    def _reject_queued_jobs(self) -> None:
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is _STOP:
-                continue
-            outcome = error_outcome(
-                item.digest,
-                ServiceError("fleet router shut down before dispatch"),
-            )
-            with self._lock:
-                self._inflight.pop(item.digest, None)
-                self._pending -= 1
-                self._counts["errors"] += 1
-            item.future.set_result(outcome)
-
-    def _record_failure(
-        self,
-        name: str,
-        metrics,
-        cause: str = "transport",
-        job: Optional[_FleetJob] = None,
-    ) -> None:
-        """One failed attempt against a backend, split by cause.
-
-        ``cause`` is ``"saturation"`` (503 / shed — the node is alive,
-        just busy) or ``"transport"`` (unreachable / dead).  When the
-        attempt belongs to a failover walk, the cause is also recorded
-        on the job so the eventual reroute is classified the same way.
-        """
+    def _record_failure(self, name: str, cause: str) -> None:
+        """One failed attempt against a backend, split by cause:
+        ``"saturation"`` (503 / shed — the node is alive, just busy) or
+        ``"transport"`` (unreachable / dead)."""
         with self._lock:
             self._per_backend[name]["failures"] += 1
             self._per_backend[name][f"failures_{cause}"] += 1
-        if job is not None:
-            job.failover_causes.append(cause)
+        metrics = get_metrics()
         metrics.counter("fleet.backend.failures").inc()
         metrics.counter(f"fleet.backend.failures.{cause}").inc()
-
-    def _count(self, key: str, metrics, metric_name: str) -> None:
-        with self._lock:
-            self._counts[key] += 1
-        metrics.counter(metric_name).inc()
-
-    def _observe_latency(
-        self, latency_ms: float, metrics, trace_id: Optional[str] = None
-    ) -> None:
-        with self._lock:
-            self._latencies_ms.append(latency_ms)
-        # The trace id is the bucket's exemplar: a p99 outlier in the
-        # aggregated snapshot resolves to its stitched trace.
-        metrics.histogram("fleet.request_ms").observe(
-            latency_ms, exemplar=trace_id
-        )
 
 
 # -- fleet builders ------------------------------------------------------
@@ -1648,7 +993,6 @@ __all__ = [
     "Backend",
     "FleetConfig",
     "FleetRouter",
-    "FleetTicket",
     "HttpBackend",
     "LocalBackend",
     "SERVED_BY_LRU",

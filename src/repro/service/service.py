@@ -1,19 +1,16 @@
-"""The compile service: worker pool, admission queue, single-flight.
+"""The compile service: the admission core over a worker pool that runs
+the pipeline.
 
-Request lifecycle::
+:class:`CompileService` admits requests through
+:class:`~repro.service.admission.Admission` (digest, shed, store hit,
+single-flight join, bounded queue) and adds only its own work::
 
-    submit(request)
-      resolve + digest                 (typed config errors surface here)
-      artifact store lookup  ── hit ──► outcome served synchronously
-      single-flight table    ── dup ──► join the in-flight job
-      admission check        ── full ─► QueueFullError (HTTP 503 / exit 75)
-      enqueue                          worker pool drains FIFO
     worker:
       store re-check (another process may have filled it) ── hit
       run the pipeline under a per-request Budget (conservative fallback
         on exhaustion — one pathological program degrades itself, it
         does not stall the queue)
-      persist the artifact; resolve every joined waiter
+      persist the artifact (and its recipe)
 
 Three cache layers cooperate: the in-memory sweep memo
 (:mod:`repro.analysis.cache`, restored from disk via
@@ -23,41 +20,21 @@ restarts, and the single-flight table collapses *concurrent identical*
 requests into one pipeline run.
 
 Internal counters are authoritative for :meth:`CompileService.stats`;
-the same events are mirrored into the PR-4 metrics registry (and every
-stage runs under tracer spans) whenever observability is enabled.
+the same events are mirrored into the metrics registry (and every stage
+runs under tracer spans) whenever observability is enabled.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from collections import deque
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import config as _config
-from ..errors import (
-    DeadlineExceededError,
-    QueueFullError,
-    ReproError,
-    ServiceError,
-    exit_code_for,
-)
-from ..ir.serialize import compile_digest
-from ..observability import emit_event, get_metrics, get_tracer, new_trace_id
+from ..observability import get_metrics, get_tracer
 from ..resilience.budget import Budget
-from .api import (
-    STATUS_COALESCED,
-    STATUS_ERROR,
-    STATUS_HIT,
-    STATUS_MISS,
-    CompileError,
-    CompileOutcome,
-    CompileRequest,
-)
+from .admission import Admission, Job, Ticket
+from .api import STATUS_HIT, STATUS_MISS, CompileOutcome, CompileRequest
 from .memo import load_memo, save_memo
 from .store import ArtifactStore, CompileArtifact, build_artifact
 
@@ -80,65 +57,32 @@ class ServiceConfig:
     memo_persistence: bool = True
 
 
-@dataclass
-class Ticket:
-    """One requester's handle on a (possibly shared) outcome.
-
-    ``role`` records how *this* submission was classified at admission:
-    ``hit`` (served from the store), ``miss`` (this submission enqueued
-    the pipeline run), or ``coalesced`` (joined an in-flight run).
-    """
-
-    digest: str
-    role: str
-    _future: Future = field(repr=False, default_factory=Future)
-
-    def result(self, timeout: Optional[float] = None) -> CompileOutcome:
-        return self._future.result(timeout=timeout)
-
-    def done(self) -> bool:
-        return self._future.done()
-
-
-class _Job:
-    __slots__ = (
-        "digest", "request", "future", "submitted_at", "waiters", "deadline",
-        "trace_id", "parent_span_id",
-    )
-
-    def __init__(self, digest: str, request: CompileRequest) -> None:
-        self.digest = digest
-        self.request = request
-        self.future: Future = Future()
-        self.submitted_at = time.perf_counter()
-        self.waiters = 1
-        #: Absolute ``perf_counter`` instant the caller's budget expires
-        #: (``None`` = unbounded).  Workers shed expired jobs at pickup.
-        self.deadline: Optional[float] = (
-            None
-            if request.deadline_s is None
-            else self.submitted_at + request.deadline_s
-        )
-        #: Distributed trace context the worker thread re-activates: the
-        #: admission-side ``service.request`` span becomes the parent of
-        #: the worker's ``service.execute`` span.
-        self.trace_id: Optional[str] = request.trace_id
-        self.parent_span_id: Optional[str] = request.parent_span_id
-
-    def expired(self) -> bool:
-        return self.deadline is not None and time.perf_counter() >= self.deadline
-
-
-_STOP = object()
-
-
-class CompileService:
+class CompileService(Admission):
     """A long-lived, thread-safe compilation service.
 
     ``compile_fn(request, digest) -> CompileArtifact`` is injectable so
     tests can gate execution deterministically; the default runs the real
     session pipeline.
     """
+
+    label = "compile service"
+    prefix = "service"
+    miss_key = "cache_misses"
+    counters = {
+        "requests": "service.requests",
+        "cache_hits": "service.cache.hits",
+        "cache_misses": "service.cache.misses",
+        #: Misses reclassified as hits at execution time because a
+        #: concurrent process persisted the artifact first.
+        "late_hits": "service.cache.late_hits",
+        "coalesced": "service.singleflight.coalesced",
+        "executions": "service.executions",
+        "errors": "service.errors",
+        "queue_rejections": "service.queue.rejections",
+        #: Requests whose propagated deadline expired before a worker
+        #: could run them — shed with a typed outcome, never compiled.
+        "deadline_shed": "service.deadline.shed",
+    }
 
     def __init__(
         self,
@@ -148,10 +92,6 @@ class CompileService:
         ] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if self.config.workers < 1:
-            raise ServiceError("service needs at least one worker")
-        if self.config.queue_limit < 1:
-            raise ServiceError("service needs a queue limit of at least 1")
         self._compile_fn = compile_fn or self._default_compile
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(self.config.cache_dir)
@@ -161,37 +101,7 @@ class CompileService:
         self.memo_restored: Dict[str, int] = {"search": 0, "autotune": 0}
         if self.store is not None and self.config.memo_persistence:
             self.memo_restored = load_memo(self.config.cache_dir)
-
-        self._lock = threading.Lock()
-        self._inflight: Dict[str, _Job] = {}
-        self._admitted = 0  # jobs enqueued or running, not yet finished
-        self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-        self._closed = False
-        self._started_at = time.time()
-        self._latencies_ms: "deque[float]" = deque(maxlen=4096)
-        self._counts = {
-            "requests": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            #: Misses reclassified as hits at execution time because a
-            #: concurrent process persisted the artifact first.
-            "late_hits": 0,
-            "coalesced": 0,
-            "executions": 0,
-            "errors": 0,
-            "queue_rejections": 0,
-            #: Requests whose propagated deadline expired before a worker
-            #: could run them — shed with a typed outcome, never compiled.
-            "deadline_shed": 0,
-        }
-        self._workers = [
-            threading.Thread(
-                target=self._worker, name=f"compile-worker-{i}", daemon=True
-            )
-            for i in range(self.config.workers)
-        ]
-        for thread in self._workers:
-            thread.start()
+        super().__init__(self.config.workers, self.config.queue_limit)
 
     # -- public API ------------------------------------------------------
 
@@ -202,178 +112,7 @@ class CompileService:
         :class:`~repro.errors.QueueFullError` (admission queue at its
         bound), or :class:`~repro.errors.ServiceError` (closed service).
         """
-        if self._closed:
-            raise ServiceError("compile service is shut down")
-        t0 = time.perf_counter()
-        metrics = get_metrics()
-        tracer = get_tracer()
-        # Join the caller's distributed trace, or root a fresh one when
-        # tracing is live (disabled tracing stays id-free: no allocation,
-        # no behavior change).
-        trace_id = request.trace_id or (
-            new_trace_id() if tracer.enabled else None
-        )
-        request_span_id: Optional[str] = None
-        if trace_id is not None:
-            with tracer.trace_context(trace_id, request.parent_span_id):
-                with tracer.span(
-                    "service.request", app=request.app or "<ir>"
-                ) as sp:
-                    program, device, sizes = request.resolve()
-                    digest = compile_digest(
-                        program,
-                        device=device,
-                        flags=request.flags,
-                        strategy=request.strategy,
-                        sizes=sizes,
-                    )
-                    request_span_id = getattr(sp, "span_id", None)
-        else:
-            with tracer.span("service.request", app=request.app or "<ir>"):
-                program, device, sizes = request.resolve()
-                digest = compile_digest(
-                    program,
-                    device=device,
-                    flags=request.flags,
-                    strategy=request.strategy,
-                    sizes=sizes,
-                )
-        self._count("requests", metrics, "service.requests")
-
-        if request.deadline_s is not None and request.deadline_s <= 0:
-            # The budget was already spent when the request arrived (an
-            # upstream hop forwarded its remainder): shed at admission.
-            return self._shed_ticket(
-                digest,
-                "deadline budget already spent at admission "
-                f"({request.deadline_s:.3f}s remaining)",
-                metrics,
-                trace_id=trace_id,
-            )
-
-        if self.store is not None:
-            artifact = self.store.get(digest)
-            if artifact is not None:
-                self._count("cache_hits", metrics, "service.cache.hits")
-                latency_ms = (time.perf_counter() - t0) * 1e3
-                self._observe_latency(latency_ms, metrics, trace_id)
-                ticket = Ticket(digest=digest, role=STATUS_HIT)
-                ticket._future.set_result(
-                    CompileOutcome(
-                        digest=digest,
-                        status=STATUS_HIT,
-                        artifact=artifact.to_dict(),
-                        latency_ms=latency_ms,
-                        trace_id=trace_id,
-                    )
-                )
-                return ticket
-
-        with self._lock:
-            # Re-checked under the lock: close() flips the flag inside
-            # this same critical section, so a submit that wins the race
-            # enqueues *before* the _STOP sentinels (a worker still
-            # drains it) and one that loses is rejected — a job can
-            # never be admitted into a queue no worker will read.
-            if self._closed:
-                raise ServiceError("compile service is shut down")
-            job = self._inflight.get(digest)
-            if job is not None:
-                job.waiters += 1
-                # The shared job must honor the most permissive waiter:
-                # a late joiner with a longer (or no) budget must not be
-                # shed because the first submitter's deadline was tight.
-                if job.deadline is not None:
-                    joined_deadline = (
-                        None
-                        if request.deadline_s is None
-                        else time.perf_counter() + request.deadline_s
-                    )
-                    if joined_deadline is None:
-                        job.deadline = None
-                    elif joined_deadline > job.deadline:
-                        job.deadline = joined_deadline
-                self._count_locked("coalesced")
-                ticket = Ticket(
-                    digest=digest, role=STATUS_COALESCED, _future=job.future
-                )
-                metrics.counter("service.singleflight.coalesced").inc()
-                return ticket
-            if self._admitted >= self.config.queue_limit:
-                self._count_locked("queue_rejections")
-                metrics.counter("service.queue.rejections").inc()
-                emit_event(
-                    "queue_rejected",
-                    digest=digest,
-                    queue_depth=self._admitted,
-                    queue_limit=self.config.queue_limit,
-                    trace_id=trace_id,
-                )
-                raise QueueFullError(
-                    f"compile queue is full "
-                    f"({self._admitted}/{self.config.queue_limit} requests "
-                    "admitted); retry shortly"
-                )
-            job = _Job(digest, request)
-            # The worker's execute span parents onto this submission's
-            # request span (same trace, possibly another thread).
-            job.trace_id = trace_id
-            if request_span_id is not None:
-                job.parent_span_id = request_span_id
-            self._inflight[digest] = job
-            self._admitted += 1
-            self._count_locked("cache_misses")
-            metrics.gauge("service.queue.depth").set(self._admitted)
-            self._queue.put(job)
-        metrics.counter("service.cache.misses").inc()
-        return Ticket(digest=digest, role=STATUS_MISS, _future=job.future)
-
-    def compile(
-        self, request: CompileRequest, timeout: Optional[float] = None
-    ) -> CompileOutcome:
-        """Submit and wait: the synchronous convenience the HTTP layer uses.
-
-        A deadline-carrying request never waits unboundedly: when no
-        explicit ``timeout`` is given the wait is capped at the request's
-        budget plus a small grace (the worker-side shed normally answers
-        first; the timed wait is the backstop against a wedged worker),
-        and a timeout resolves to the typed shed outcome instead of an
-        exception.
-        """
-        ticket = self.submit(request)
-        if timeout is None and request.deadline_s is not None:
-            bounded = (
-                max(0.0, request.deadline_s) + _config.DEADLINE_WAIT_GRACE_S
-            )
-            try:
-                return ticket.result(timeout=bounded)
-            except FutureTimeoutError:
-                self._count(
-                    "deadline_shed", get_metrics(), "service.deadline.shed"
-                )
-                emit_event(
-                    "deadline_shed",
-                    digest=ticket.digest,
-                    deadline_s=request.deadline_s,
-                    where="wait",
-                    trace_id=request.trace_id,
-                )
-                outcome = error_outcome(
-                    ticket.digest,
-                    DeadlineExceededError(
-                        f"request still pending {bounded:.3f}s after its "
-                        f"{request.deadline_s:.3f}s deadline budget; shed"
-                    ),
-                )
-                outcome.trace_id = request.trace_id
-                return outcome
-        return ticket.result(timeout=timeout)
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run; a closed service rejects
-        submissions with :class:`~repro.errors.ServiceError`."""
-        return self._closed
+        return self._admit(request)
 
     def clear_cache(self) -> int:
         """Drop every stored artifact; returns how many were removed."""
@@ -386,38 +125,13 @@ class CompileService:
         with self._lock:
             return self._counts["executions"]
 
-    def health(self) -> Dict[str, Any]:
-        """The ``/v1/health`` payload: liveness plus load, cheap enough
-        for a per-second prober.  ``saturation`` is queue depth over the
-        admission bound — 1.0 means the next miss is rejected."""
-        with self._lock:
-            admitted = self._admitted
-        limit = self.config.queue_limit
-        return {
-            "ok": not self._closed,
-            "closed": self._closed,
-            "queue_depth": admitted,
-            "queue_limit": limit,
-            "saturation": admitted / limit if limit else 0.0,
-            "workers": self.config.workers,
-            "uptime_s": time.time() - self._started_at,
-        }
-
     def stats(self) -> Dict[str, Any]:
         """A JSON-serializable snapshot of service health."""
-        with self._lock:
-            counts = dict(self._counts)
-            admitted = self._admitted
-            latencies = sorted(self._latencies_ms)
         snapshot: Dict[str, Any] = {
             "workers": self.config.workers,
-            "queue_limit": self.config.queue_limit,
-            "queue_depth": admitted,
-            "uptime_s": time.time() - self._started_at,
             "memo_restored": dict(self.memo_restored),
-            **counts,
+            **self._admission_stats(),
         }
-        snapshot["latency_ms"] = latency_summary(latencies)
         if self.store is not None:
             snapshot["store"] = self.store.stats()
         return snapshot
@@ -425,23 +139,12 @@ class CompileService:
     def close(self, save: bool = True) -> None:
         """Drain workers and (by default) persist the sweep memo.
 
-        Every admitted job is resolved before this returns: workers
-        finish what was queued ahead of the stop sentinels, and anything
-        still queued afterwards (a worker died or overran the join
-        timeout) is rejected with a :class:`~repro.errors.ServiceError`
-        outcome so no waiter blocks forever on an abandoned future.
+        Every admitted job is resolved before this returns (see
+        :meth:`~repro.service.admission.Admission._shutdown`).
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for _ in self._workers:
-                self._queue.put(_STOP)
-        for thread in self._workers:
-            thread.join(timeout=60)
-        self._reject_queued_jobs()
         if (
-            save
+            self._shutdown()
+            and save
             and self.store is not None
             and self.config.memo_persistence
         ):
@@ -450,132 +153,68 @@ class CompileService:
             except OSError:
                 pass  # persistence is best-effort; the store is intact
 
-    def __enter__(self) -> "CompileService":
-        return self
+    # -- admission hooks -------------------------------------------------
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _lookup(
+        self, digest: str
+    ) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
+        artifact = self.store.get(digest) if self.store is not None else None
+        if artifact is None:
+            return None
+        self._count("cache_hits")
+        return artifact.to_dict(), None
 
-    def _reject_queued_jobs(self) -> None:
-        """Resolve any job the workers left behind with a typed error."""
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is _STOP:
-                continue
-            outcome = self._error_outcome(
-                item.digest,
-                ServiceError("compile service shut down before the job ran"),
+    def _execute(self, job: Job) -> CompileOutcome:
+        # Deadline enforcement at the admission queue: a job whose
+        # caller budget expired while it waited is shed before it can
+        # touch a worker — before the executions counter, before the
+        # pipeline, before the store.  Compiling it would burn a worker
+        # on an answer nobody is waiting for.
+        if job.expired():
+            waited_s = time.perf_counter() - job.submitted_at
+            return self._shed(
+                job.digest, job.trace_id, "worker",
+                "deadline expired before a worker picked the job up "
+                f"(queued {waited_s:.3f}s); shed without compiling",
+                waited_s=waited_s,
             )
-            with self._lock:
-                self._inflight.pop(item.digest, None)
-                self._admitted -= 1
-                self._counts["errors"] += 1
-            item.future.set_result(outcome)
-
-    # -- worker side -----------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            self._run_job(item)
-
-    def _run_job(self, job: _Job) -> None:
-        if job.trace_id is not None:
-            with get_tracer().trace_context(
-                job.trace_id, job.parent_span_id
-            ):
-                self._run_job_inner(job)
-        else:
-            self._run_job_inner(job)
-
-    def _run_job_inner(self, job: _Job) -> None:
-        metrics = get_metrics()
-        outcome: Optional[CompileOutcome] = None
-        status = STATUS_MISS
-        try:
-            # Deadline enforcement at the admission queue: a job whose
-            # caller budget expired while it waited is shed before it
-            # can touch a worker — before the executions counter, before
-            # the pipeline, before the store.  Compiling it would burn a
-            # worker on an answer nobody is waiting for.
-            if job.expired():
-                waited_s = time.perf_counter() - job.submitted_at
-                self._count(
-                    "deadline_shed", metrics, "service.deadline.shed"
-                )
-                emit_event(
-                    "deadline_shed",
+        # Another process sharing the cache dir may have persisted this
+        # artifact while the job sat in the queue.
+        if self.store is not None:
+            artifact = self.store.get(job.digest)
+            if artifact is not None:
+                # Admission counted this digest as a miss; now that it
+                # is served from the store, reclassify so the hit/miss
+                # counters agree with the outcome statuses.
+                with self._lock:
+                    self._counts["cache_hits"] += 1
+                    self._counts["cache_misses"] -= 1
+                    self._counts["late_hits"] += 1
+                metrics = get_metrics()
+                metrics.counter("service.cache.hits").inc()
+                metrics.counter("service.cache.late_hits").inc()
+                return CompileOutcome(
                     digest=job.digest,
-                    waited_s=waited_s,
-                    where="worker",
-                    trace_id=job.trace_id,
-                )
-                raise DeadlineExceededError(
-                    "deadline expired before a worker picked the job up "
-                    f"(queued {waited_s:.3f}s); shed without compiling"
-                )
-            # Another process sharing the cache dir may have persisted
-            # this artifact while the job sat in the queue.
-            if self.store is not None:
-                artifact = self.store.get(job.digest)
-                if artifact is not None:
-                    status = STATUS_HIT
-                    # Admission counted this digest as a miss; now that
-                    # it is served from the store, reclassify so the
-                    # hit/miss counters agree with the outcome statuses.
-                    with self._lock:
-                        self._counts["cache_hits"] += 1
-                        self._counts["cache_misses"] -= 1
-                        self._counts["late_hits"] += 1
-                    metrics.counter("service.cache.hits").inc()
-                    metrics.counter("service.cache.late_hits").inc()
-                    outcome = CompileOutcome(
-                        digest=job.digest,
-                        status=STATUS_HIT,
-                        artifact=artifact.to_dict(),
-                    )
-            if outcome is None:
-                with get_tracer().span(
-                    "service.execute",
-                    app=job.request.app or "<ir>",
-                    strategy=job.request.strategy,
-                ):
-                    self._count("executions", metrics, "service.executions")
-                    artifact = self._compile_fn(job.request, job.digest)
-                if self.store is not None:
-                    self.store.put(artifact)
-                    if artifact.recipe is not None:
-                        # Content-addressed by its own digest: serves
-                        # GET /v1/artifacts/<recipe_digest> and survives
-                        # artifact eviction.
-                        self.store.put_recipe(artifact.recipe)
-                outcome = CompileOutcome(
-                    digest=job.digest,
-                    status=STATUS_MISS,
+                    status=STATUS_HIT,
                     artifact=artifact.to_dict(),
                 )
-        except ReproError as exc:
-            status = STATUS_ERROR
-            outcome = self._error_outcome(job.digest, exc)
-        except Exception as exc:  # noqa: BLE001 - a worker must survive
-            status = STATUS_ERROR
-            outcome = self._error_outcome(job.digest, exc)
-        latency_ms = (time.perf_counter() - job.submitted_at) * 1e3
-        outcome.latency_ms = latency_ms
-        outcome.trace_id = job.trace_id
-        if status == STATUS_ERROR:
-            self._count("errors", metrics, "service.errors")
-        self._observe_latency(latency_ms, metrics, job.trace_id)
-        with self._lock:
-            self._inflight.pop(job.digest, None)
-            self._admitted -= 1
-            metrics.gauge("service.queue.depth").set(self._admitted)
-        job.future.set_result(outcome)
+        with get_tracer().span(
+            "service.execute",
+            app=job.request.app or "<ir>",
+            strategy=job.request.strategy,
+        ):
+            self._count("executions")
+            artifact = self._compile_fn(job.request, job.digest)
+        if self.store is not None:
+            self.store.put(artifact)
+            if artifact.recipe is not None:
+                # Content-addressed by its own digest: serves
+                # GET /v1/artifacts/<recipe_digest> and survives
+                # artifact eviction.
+                self.store.put_recipe(artifact.recipe)
+        return CompileOutcome(
+            digest=job.digest, status=STATUS_MISS, artifact=artifact.to_dict()
+        )
 
     def _default_compile(
         self, request: CompileRequest, digest: str
@@ -612,93 +251,3 @@ class CompileService:
             compile_ms,
             with_provenance=self.config.provenance,
         )
-
-    def _error_outcome(
-        self, digest: str, exc: BaseException
-    ) -> CompileOutcome:
-        return error_outcome(digest, exc)
-
-    def _shed_ticket(
-        self, digest: str, detail: str, metrics,
-        trace_id: Optional[str] = None,
-    ) -> Ticket:
-        """A ticket pre-resolved with the typed deadline-shed outcome."""
-        self._count("deadline_shed", metrics, "service.deadline.shed")
-        self._count("errors", metrics, "service.errors")
-        emit_event(
-            "deadline_shed",
-            digest=digest,
-            where="admission",
-            trace_id=trace_id,
-        )
-        ticket = Ticket(digest=digest, role=STATUS_ERROR)
-        outcome = error_outcome(digest, DeadlineExceededError(detail))
-        outcome.trace_id = trace_id
-        ticket._future.set_result(outcome)
-        return ticket
-
-    # -- accounting ------------------------------------------------------
-
-    def _count(self, key: str, metrics, metric_name: str) -> None:
-        with self._lock:
-            self._counts[key] += 1
-        metrics.counter(metric_name).inc()
-
-    def _count_locked(self, key: str) -> None:
-        self._counts[key] += 1
-
-    def _observe_latency(
-        self, latency_ms: float, metrics, trace_id: Optional[str] = None
-    ) -> None:
-        with self._lock:
-            self._latencies_ms.append(latency_ms)
-        # The trace id rides along as the bucket's exemplar, so a slow
-        # bucket in a snapshot resolves to a concrete request trace.
-        metrics.histogram("service.request_ms").observe(
-            latency_ms, exemplar=trace_id
-        )
-
-
-def error_outcome(digest: str, exc: BaseException) -> CompileOutcome:
-    """Wrap an exception as a typed :class:`CompileOutcome` error.
-
-    Shared by the per-process service and the fleet router so a failure
-    carries the same error type, CLI exit code, and (when attached)
-    replayable failure report regardless of which layer caught it.
-    """
-    report = getattr(exc, "failure_report", None)
-    return CompileOutcome(
-        digest=digest,
-        status=STATUS_ERROR,
-        error=CompileError(
-            error_type=type(exc).__name__,
-            message=str(exc),
-            exit_code=exit_code_for(exc),
-            failure_report=None if report is None else report.to_dict(),
-        ),
-    )
-
-
-def percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted list (0.0 empty)."""
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1)))
-    )
-    return sorted_values[int(index)]
-
-
-def latency_summary(sorted_latencies_ms: List[float]) -> Dict[str, Any]:
-    """The p50/p95/p99 summary every stats surface reports."""
-    return {
-        "count": len(sorted_latencies_ms),
-        "p50": percentile(sorted_latencies_ms, 0.50),
-        "p95": percentile(sorted_latencies_ms, 0.95),
-        "p99": percentile(sorted_latencies_ms, 0.99),
-        "max": sorted_latencies_ms[-1] if sorted_latencies_ms else 0.0,
-    }
-
-
-#: Backwards-compatible alias (pre-fleet internal name).
-_percentile = percentile

@@ -16,7 +16,7 @@ class TestEventLog:
     def test_emit_assigns_monotone_seq(self):
         log = EventLog()
         first = log.emit("reroute", digest="d1")
-        second = log.emit("hedge_fired", digest="d2")
+        second = log.emit("deadline_shed", digest="d2")
         assert second["seq"] == first["seq"] + 1
 
     def test_unknown_kind_rejected(self):
@@ -43,9 +43,9 @@ class TestEventLog:
         log.emit("reroute")
         cursor = log.snapshot()["next_seq"]
         assert log.snapshot(since=cursor - 1)["events"] == []
-        log.emit("hedge_fired")
+        log.emit("deadline_shed")
         fresh = log.snapshot(since=cursor - 1)["events"]
-        assert [e["kind"] for e in fresh] == ["hedge_fired"]
+        assert [e["kind"] for e in fresh] == ["deadline_shed"]
 
     def test_bounded_capacity_drops_oldest_and_counts(self):
         log = EventLog(capacity=3)

@@ -191,6 +191,16 @@ class TestTraceContext:
         args = tracer.events()[0]["args"]
         assert "parent_span_id" not in args
 
+    def test_none_trace_id_activates_nothing(self):
+        tracer = Tracer()
+        with tracer.trace_context(None, "f" * 16):
+            assert tracer.current_context() is None
+            with tracer.span("untraced"):
+                assert tracer.current_context() is None
+        args = tracer.events()[0].get("args", {})
+        assert "trace_id" not in args
+        assert "span_id" not in args
+
     def test_context_unwinds_after_exit(self):
         tracer = Tracer()
         with tracer.trace_context("ab" * 16):

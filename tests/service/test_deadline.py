@@ -243,6 +243,34 @@ class TestRouterShedding:
         finally:
             router.close()
 
+    def test_router_forwards_the_join_widened_budget(self):
+        # A joiner with no deadline widens the shared job to unbounded;
+        # the dispatch must not forward the first submitter's budget.
+        gate = threading.Event()
+
+        class GatedBackend(RecordingBackend):
+            def compile(self, req):
+                if req.sizes["R"] == 64 and not gate.wait(timeout=30):
+                    raise TimeoutError("test gate never opened")
+                return super().compile(req)
+
+        backend = GatedBackend("b0")
+        router = FleetRouter(
+            [backend],
+            FleetConfig(lru_capacity=0, dispatchers=1, probe_interval_s=0),
+        )
+        try:
+            blocker = router.submit(request(R=64, C=32))
+            tight = router.submit(request(deadline_s=5.0, R=128, C=32))
+            assert router.submit(request(R=128, C=32)).role == "coalesced"
+            gate.set()
+            assert blocker.wait(timeout=30).ok
+            assert tight.wait(timeout=30).ok
+            assert backend.seen_deadlines == [None, None]
+        finally:
+            gate.set()
+            router.close()
+
     def test_saturated_fleet_sheds_within_budget_plus_backoff(self):
         """Failover never outlives the caller's budget: with every
         backend saturated, a tight deadline resolves as a typed shed in
@@ -279,7 +307,7 @@ class TestRouterShedding:
         """A DeadlineExceededError outcome from a backend means the
         budget is spent everywhere — the router must not reroute it."""
         from repro.service.api import CompileOutcome
-        from repro.service.service import error_outcome
+        from repro.service.admission import error_outcome
 
         class SheddingBackend(RecordingBackend):
             def compile(self, req):

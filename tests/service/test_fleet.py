@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.errors import QueueFullError, ServiceError
+from repro.observability import get_event_log
 from repro.service import (
     STATUS_ERROR,
     STATUS_HIT,
@@ -29,7 +30,7 @@ from repro.service.fleet import (
     Backend,
     spawn_server_process,
 )
-from repro.service.store import CompileArtifact
+from repro.service.store import ArtifactStore, CompileArtifact
 
 
 def fake_artifact(digest: str) -> CompileArtifact:
@@ -138,19 +139,31 @@ class TestCacheTiers:
         finally:
             fleet.close()
 
-    def test_write_through_to_router_store(self, tmp_path):
-        # Backends have no store of their own; a fresh compile must
-        # still land in the router's disk tier.
-        router = FleetRouter(
-            [StubBackend("b0"), StubBackend("b1")],
-            FleetConfig(cache_dir=str(tmp_path / "router-cache")),
+    def test_fleet_miss_writes_the_store_once(self, tmp_path, monkeypatch):
+        # Router and backends share one store root: the backend that
+        # ran the pipeline writes the artifact, the router does not.
+        puts = []
+        original_put = ArtifactStore.put
+
+        def counting_put(store, artifact):
+            puts.append(artifact.digest)
+            return original_put(store, artifact)
+
+        monkeypatch.setattr(ArtifactStore, "put", counting_put)
+        fleet = local_fleet(
+            2,
+            str(tmp_path / "cache"),
+            compile_fn=lambda req, digest: fake_artifact(digest),
         )
         try:
-            outcome = router.submit(request()).wait(timeout=30)
+            outcome = fleet.submit(request()).wait(timeout=60)
             assert outcome.status == STATUS_MISS
-            assert router.store.get(outcome.digest) is not None
+            assert puts == [outcome.digest]
+            fleet.lru.clear()
+            again = fleet.submit(request()).wait(timeout=30)
+            assert again.served_by == SERVED_BY_STORE
         finally:
-            router.close()
+            fleet.close()
 
 
 class TestSharding:
@@ -236,6 +249,7 @@ class TestAdmission:
             [StubBackend("b0", gate=gate)],
             FleetConfig(lru_capacity=0, queue_limit=1, dispatchers=1),
         )
+        cursor = get_event_log().snapshot()["next_seq"]
         try:
             router.submit(request(R=64, C=32))
             with pytest.raises(QueueFullError):
@@ -243,6 +257,17 @@ class TestAdmission:
             # Identical digests coalesce instead of being rejected.
             joined = router.submit(request(R=64, C=32))
             assert joined.role == "coalesced"
+            assert router.stats()["queue_rejections"] == 1
+            digest = request(R=128, C=32).digest()
+            rejected = [
+                event
+                for event in get_event_log().snapshot(since=cursor - 1)[
+                    "events"
+                ]
+                if event["kind"] == "queue_rejected"
+                and event["digest"] == digest
+            ]
+            assert [event["where"] for event in rejected] == ["fleet"]
         finally:
             gate.set()
             router.close()

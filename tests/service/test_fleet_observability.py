@@ -193,8 +193,6 @@ STATS_FIXTURE = {
         "reroutes": 3,
         "reroutes_saturation": 2,
         "reroutes_transport": 1,
-        "hedges": 1,
-        "hedge_wins": 1,
         "deadline_shed": 0,
         "errors": 1,
         "probes": 4,

@@ -444,6 +444,74 @@ class TestClientTransportHardening:
             thread.join(timeout=30)
             service.close()
 
+    def test_shared_keepalive_client_survives_restart(self, tmp_path):
+        """One keep-alive ServiceClient shared by two threads.  The
+        server restarts between waves, half-closing both per-thread
+        persistent sockets; each thread must transparently retry on a
+        fresh connection, concurrently, without cross-thread
+        interference."""
+        from repro.service import CompileService, ServiceConfig
+        from repro.service.http import make_server, serve_forever
+
+        def new_service():
+            return CompileService(
+                ServiceConfig(cache_dir=None, memo_persistence=False),
+                compile_fn=lambda req, digest: fake_artifact(digest),
+            )
+
+        svc = new_service()
+        server = make_server(svc, "127.0.0.1", 0)
+        port = server.port
+        thread = threading.Thread(
+            target=serve_forever, args=(server,), daemon=True
+        )
+        thread.start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{port}", timeout=30, keep_alive=True
+        )
+
+        def wave(results, index_base):
+            def one(i):
+                results[index_base + i] = client.compile(
+                    request(R=64 + 32 * i, C=32)
+                )
+
+            threads = [
+                threading.Thread(target=one, args=(i,)) for i in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+
+        results = {}
+        try:
+            # Wave 1 establishes a persistent connection per thread.
+            wave(results, 0)
+            assert all(results[i].ok for i in range(2))
+
+            # Restart on the same port: both cached sockets are now
+            # half-closed — readable EOF, unusable for a new request.
+            server.shutdown()
+            thread.join(timeout=10)
+            svc.close()
+            svc = new_service()
+            server = make_server(svc, "127.0.0.1", port)
+            thread = threading.Thread(
+                target=serve_forever, args=(server,), daemon=True
+            )
+            thread.start()
+
+            # Wave 2, interleaved: each thread's first reuse attempt
+            # hits its own stale socket and must recover independently.
+            wave(results, 2)
+            assert all(results[i].ok for i in range(2, 4))
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            svc.close()
+            client.close()
+
 
 class TestRecipeEndpoint:
     """Recipes are served at the same /v1/artifacts/<digest> route."""

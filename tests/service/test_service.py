@@ -293,11 +293,11 @@ class TestErrors:
         # If a job somehow remains queued after the workers exit (e.g.
         # a worker overran the join timeout), close() resolves it with
         # a typed error instead of leaving its future pending.
-        from repro.service.service import _Job
+        from repro.service.admission import Job
 
         service = CompileService(ServiceConfig(workers=1))
         service.close(save=False)
-        job = _Job("ab" * 32, request())
+        job = Job("ab" * 32, request())
         service._queue.put(job)
         service._reject_queued_jobs()
         outcome = job.future.result(timeout=5)
