@@ -4,8 +4,8 @@ Public surface:
 
 * :mod:`repro.analysis.mapping` — Dim / block size / Span-Split parameters.
 * :mod:`repro.analysis.analyzer` — one-call program analysis facade.
-* :mod:`repro.analysis.search` — the staged Algorithm-1 search (pruned
-  branch-and-bound plus an exhaustive reference oracle).
+* :mod:`repro.analysis.search` — the staged Algorithm-1 search (memo,
+  engine selection, and the exhaustive reference oracle).
 * :mod:`repro.analysis.vectorized` — the NumPy batch search engine
   (byte-identical to the reference, candidate matrix at once).
 * :mod:`repro.analysis.cache` — cross-sweep memoization of search results.
@@ -65,11 +65,10 @@ from .nesting import Nest, build_nest, extract_kernels, outermost_patterns  # no
 from .scoring import ScoredMapping, score_mapping, satisfied_constraints  # noqa: F401
 from .search import (  # noqa: F401
     SearchResult,
-    count_candidates,
     enumerate_candidates,
-    resolve_engine,
     search_mapping,
     search_mapping_reference,
+    span_options_for_levels,
 )
 from .vectorized import (  # noqa: F401
     BatchUnsupported,
@@ -80,7 +79,6 @@ from .vectorized import (  # noqa: F401
     search_mapping_vectorized,
 )
 from .shapes import SizeEnv, eval_size  # noqa: F401
-from .tables import ConstraintTables, span_options_for_levels  # noqa: F401
 from .strategies import (  # noqa: F401
     FIXED_STRATEGIES,
     fixed_strategy,

@@ -54,7 +54,6 @@ class KernelAnalysis:
         keep_all: bool = False,
         use_cache: bool = True,
         budget=None,
-        engine: Optional[str] = None,
     ) -> SearchResult:
         """Run the Algorithm-1 search for this kernel (MultiDim strategy).
 
@@ -62,8 +61,7 @@ class KernelAnalysis:
         repeated kernels return instantly (``use_cache=False`` forces a
         fresh walk; the result is identical either way).  ``budget``
         bounds the walk; on exhaustion the result degrades to the
-        conservative fallback mapping.  ``engine`` forces a search
-        engine (``None`` defers to ``REPRO_SEARCH_ENGINE`` / auto).
+        conservative fallback mapping.
         """
         return search_mapping(
             self.depth,
@@ -73,7 +71,6 @@ class KernelAnalysis:
             keep_all=keep_all,
             use_cache=use_cache,
             budget=budget,
-            engine=engine,
         )
 
     def strategy_mapping(self, name: str) -> Mapping:

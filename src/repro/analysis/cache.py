@@ -71,15 +71,8 @@ def search_cache_key(
     window,
     keep_all: bool,
     seed: int,
-    engine: str = "auto",
 ) -> Tuple:
-    """Key for one ``search_mapping`` invocation.
-
-    ``engine`` is part of the key: every engine returns byte-identical
-    mappings and scores, but the telemetry (strategy label, nodes
-    visited, batch shape) legitimately differs, so a result computed by
-    one engine must not be served for a request that forced another.
-    """
+    """Key for one ``search_mapping`` invocation."""
     return (
         "search",
         constraint_set_fingerprint(cset),
@@ -89,7 +82,6 @@ def search_cache_key(
         (window.min_dop, window.max_dop),
         keep_all,
         seed,
-        engine,
     )
 
 

@@ -45,28 +45,6 @@ class Constraint:
     def satisfied_by(self, mapping: Mapping, sizes: Tuple[int, ...]) -> bool:
         raise NotImplementedError
 
-    def footprint(self) -> Optional[Tuple]:
-        """Which part of a candidate mapping satisfaction depends on.
-
-        The staged search (:mod:`repro.analysis.tables`) uses this to
-        precompute partial-satisfaction tables instead of calling
-        :meth:`satisfied_by` per candidate.  Given fixed analysis sizes, a
-        constraint may declare that it reads only
-
-        * ``("level", i)`` — the :class:`~repro.analysis.mapping.LevelMapping`
-          of level ``i`` (its dim, block size, and span);
-        * ``("block",)`` — the total threads per block;
-        * ``("warp", levels)`` — the warp-variance of the given levels
-          (dims and block sizes of every level, but no spans).
-
-        ``None`` (the default) means *opaque*: satisfaction may depend on
-        anything, and the search falls back to per-candidate evaluation.
-        Subclasses that override this promise that ``satisfied_by`` really
-        is invariant in everything outside the declared footprint for the
-        candidates the search enumerates (all-parallel levels).
-        """
-        return None
-
     def batch_satisfied(self, batch) -> Optional["object"]:
         """Vectorized satisfaction over a whole candidate matrix.
 
@@ -77,14 +55,14 @@ class Constraint:
         return value is a boolean NumPy array of shape ``(len(batch),)``
         that must equal ``[self.satisfied_by(m, batch.sizes) for m in
         candidates]`` element for element — the vectorized engine's
-        byte-identical contract rests on that equality, and the
-        three-engine equivalence tests enforce it.
+        byte-identical contract rests on that equality, and the engine
+        equivalence tests enforce it.
 
-        ``None`` (the base default) means *no batch path*: the engine
-        falls back to the branch-and-bound walk (or per-candidate
-        evaluation for opaque constraints).  Subclasses overriding this
-        make the same promise as :meth:`footprint`: the predicate must
-        agree with ``satisfied_by`` for search-space candidates.
+        ``None`` (the base default) means *no batch path*: the search
+        falls back to the exhaustive loop, which calls ``satisfied_by``
+        per candidate.  Subclasses overriding this promise that the
+        predicate agrees with ``satisfied_by`` for search-space
+        candidates.
         """
         return None
 
@@ -92,10 +70,9 @@ class Constraint:
     #: Candidate spans expand innermost, so the vectorized engine
     #: evaluates span-free predicates on the (permutation, block-size)
     #: base rows — ``span_tile`` times fewer — and broadcasts the column.
-    #: Like :meth:`footprint`, the declaration is trusted: a predicate
-    #: claiming span freedom while reading spans would silently break
-    #: the byte-identical contract (the equivalence suite would catch
-    #: it).
+    #: The declaration is trusted: a predicate claiming span freedom
+    #: while reading spans would silently break the byte-identical
+    #: contract (the equivalence suite would catch it).
     batch_span_free = False
 
     #: The dual declaration: :meth:`batch_satisfied` reads *only*
@@ -131,9 +108,6 @@ class SpanAllRequired(Constraint):
     def splittable(self) -> bool:
         return self.reason == "sync"
 
-    def footprint(self) -> Optional[Tuple]:
-        return ("level", self.level)
-
     batch_base_free = True
 
     def batch_satisfied(self, batch):
@@ -167,9 +141,6 @@ class CoalesceDimX(Constraint):
             return False
         return lm.dim == Dim.X and lm.block_size % WARP_SIZE == 0
 
-    def footprint(self) -> Optional[Tuple]:
-        return ("level", self.level)
-
     batch_span_free = True
 
     def batch_satisfied(self, batch):
@@ -202,9 +173,6 @@ class AvoidDivergence(Constraint):
             for level in self.levels
         )
 
-    def footprint(self) -> Optional[Tuple]:
-        return ("warp", self.levels)
-
     batch_span_free = True
 
     def batch_satisfied(self, batch):
@@ -225,9 +193,6 @@ class BlockSizeFloor(Constraint):
 
     def satisfied_by(self, mapping: Mapping, sizes: Tuple[int, ...]) -> bool:
         return mapping.threads_per_block() >= MIN_BLOCK_SIZE
-
-    def footprint(self) -> Optional[Tuple]:
-        return ("block",)
 
     batch_span_free = True
 
@@ -255,9 +220,6 @@ class NoWastedThreads(Constraint):
         size = sizes[self.level] if self.level < len(sizes) else 1
         return lm.block_size <= max(1, size)
 
-    def footprint(self) -> Optional[Tuple]:
-        return ("level", self.level)
-
     batch_span_free = True
 
     def batch_satisfied(self, batch):
@@ -273,10 +235,11 @@ class NoWastedThreads(Constraint):
 def has_batch_predicate(constraint: Constraint) -> bool:
     """Does this constraint carry a vectorized batch path?
 
-    Resolution is by method identity, mirroring how ``footprint`` is
-    trusted: a subclass that overrides ``satisfied_by`` without also
-    overriding ``batch_satisfied`` (or ``footprint``) is declaring that
-    the inherited classification still holds.
+    Resolution is by method identity: a subclass that overrides
+    ``satisfied_by`` without also overriding ``batch_satisfied`` is
+    declaring that the inherited batch predicate still holds.  The
+    search runs the vectorized engine only when every constraint of a
+    set answers True here.
     """
     return type(constraint).batch_satisfied is not Constraint.batch_satisfied
 

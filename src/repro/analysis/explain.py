@@ -110,8 +110,7 @@ def render_telemetry(result: SearchResult) -> List[str]:
         ),
         (
             f"work: {data['candidates_scored']} scored, "
-            f"{data['candidates_skipped']} skipped via "
-            f"{data['nodes_pruned']} pruned subtrees"
+            f"{data['candidates_skipped']} skipped"
         ),
         f"wall time: {data['elapsed_ms']:.3g} ms"
         + (" (original search; cache lookup was ~free)"

@@ -24,7 +24,6 @@ A mapping decision assigns each nest level three parameters (Section IV-A):
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -258,7 +257,7 @@ class Mapping:
                 blocks.append(1)
             elif isinstance(span, Span):
                 per_block = lm.block_size * span.n
-                blocks.append(max(1, math.ceil(size / per_block)))
+                blocks.append(max(1, -(-size // per_block)))
             elif isinstance(span, SpanAll):
                 blocks.append(1)
             elif isinstance(span, Split):
@@ -297,7 +296,7 @@ class Mapping:
             if isinstance(span, Seq):
                 continue
             if isinstance(span, Span):
-                dop *= max(1, math.ceil(size / span.n))
+                dop *= max(1, -(-size // span.n))
             elif isinstance(span, SpanAll):
                 dop *= min(lm.block_size, max(1, size))
             elif isinstance(span, Split):
@@ -332,9 +331,9 @@ class Mapping:
         if isinstance(span, Span):
             return span.n
         if isinstance(span, SpanAll):
-            return max(1, math.ceil(size / lm.block_size))
+            return max(1, -(-size // lm.block_size))
         if isinstance(span, Split):
-            return max(1, math.ceil(size / (lm.block_size * span.k)))
+            return max(1, -(-size // (lm.block_size * span.k)))
         raise MappingError(f"unknown span type {span}")  # pragma: no cover
 
     def needs_combiner(self) -> bool:

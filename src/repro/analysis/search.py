@@ -1,4 +1,4 @@
-"""Mapping search (Algorithm 1 of the paper), staged and pruned.
+"""Mapping search (Algorithm 1 of the paper).
 
 Candidates are the cross product, per nest level, of
 
@@ -14,69 +14,58 @@ seeded reservoir sample over the tied candidates (the paper picks
 randomly; seeding keeps runs reproducible, and reservoir sampling keeps
 the pick uniform however many candidates tie).
 
-Three engines share that contract:
+Two engines share that contract:
 
-* :func:`search_mapping_reference` — the original exhaustive loop.  It
+* :func:`search_mapping_reference` — the exhaustive loop.  It
   enumerates every structurally valid candidate and calls every
-  constraint's ``satisfied_by`` per candidate.  Retained as the oracle
-  for equivalence tests, and dispatched directly for tiny candidate
-  spaces where any staging overhead exceeds the walk.
-* the pruned walk (:func:`_search_pruned`) — constraint satisfaction is
-  precomputed into per-``(level, dim, block_size, span)`` tables
-  (:mod:`repro.analysis.tables`); enumeration is a level-by-level
-  branch-and-bound walk that discards subtrees which violate a hard
-  constraint or whose optimistic score cannot reach the incumbent
-  (candidate counts for skipped subtrees are reconstructed exactly by a
-  small counting DP, so the telemetry matches the reference).
+  constraint's ``satisfied_by`` per candidate.  It is the oracle for the
+  equivalence tests, and the engine for constraint sets the batch engine
+  cannot evaluate.
 * the vectorized batch engine (:mod:`repro.analysis.vectorized`) — the
   whole candidate space as integer-coded NumPy matrices, every
   constraint one vectorized predicate, the tie-break replayed from a
-  packed prefix-maximum.  Fastest for exhaustive (cold) searches over
-  deep nests; declines constraint sets without batch predicates.
+  packed prefix maximum.
 
-:func:`search_mapping` is the staged, memoized pipeline over all three:
-memo lookup, then engine selection (``engine="auto"`` picks by
-enumerated candidate count — tiny spaces take the plain loop, large
-batch-supported spaces the vectorized engine, everything else the
-pruned walk; ``REPRO_SEARCH_ENGINE`` or the ``engine=`` argument force
-one), with graceful fallback when a forced engine cannot run.  All
-engines return byte-identical results.
+:func:`search_mapping` is the staged, memoized pipeline over both: memo
+lookup, then the engine the constraint set admits.  When every
+constraint has a batch predicate the vectorized engine runs; otherwise,
+or when a predicate declines at runtime, the exhaustive loop runs under
+the label ``reference-fallback``.  Both engines return byte-identical
+results.
 
-Equivalence rests on two invariants: every engine visits (or accounts
-for) candidates in the reference's enumeration order, and pruning is
-*strict* — only subtrees whose best possible score is strictly below the
-incumbent are skipped, so every potential tie still reaches the
-reservoir sampler and consumes the same random draws.
+Equivalence rests on the vectorized engine accounting for candidates in
+the reference's enumeration order: every tie reaches the reservoir
+sampler at the same position and consumes the same random draws.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..config import (
-    BLOCK_SIZE_CANDIDATES,
-    MAX_BLOCK_SIZE,
-    SEARCH_ENGINE_ENV,
-    SEARCH_ENGINES,
-    SEARCH_SMALL_SPACE_CANDIDATES,
-    TIE_BREAK_SEED,
-)
+from ..config import BLOCK_SIZE_CANDIDATES, MAX_BLOCK_SIZE, TIE_BREAK_SEED
 from ..errors import ReproError, SearchError
-from ..observability import get_metrics, get_tracer, instrumented_stage
+from ..observability import get_metrics, instrumented_stage
 from ..resilience.budget import Budget
 from ..resilience.faults import maybe_inject
 from .cache import get_search_cache, search_cache_key
 from .constraints import ConstraintSet
 from .dop import DopWindow, control_dop
-from .mapping import DIM_MAX_THREADS, Dim, LevelMapping, Mapping, seq_level
+from .mapping import (
+    DIM_MAX_THREADS,
+    Dim,
+    LevelMapping,
+    Mapping,
+    Span,
+    SpanAll,
+    SpanType,
+    seq_level,
+)
 from .scoring import ScoredMapping, hard_feasible, score_mapping
-from .tables import ConstraintTables, batch_supported, span_options_for_levels
 
 
 class _BudgetStop(Exception):
@@ -92,31 +81,30 @@ class SearchResult:
     dop: int
     candidates_total: int
     candidates_feasible: int
+    #: "vectorized", "reference", "reference-fallback" (constraints
+    #: without a batch predicate), or "fallback" (budget exhausted /
+    #: absorbed fault).
+    strategy: str
     #: Every feasible candidate with its score (populated only when
     #: ``keep_all=True``; used by the Fig. 17 scatter experiment).
     all_scored: List[ScoredMapping] = field(default_factory=list)
     # -- search telemetry ------------------------------------------------
     #: Candidates whose score was individually evaluated.
     candidates_scored: int = 0
-    #: Candidates accounted for without individual evaluation (their
-    #: subtree was pruned by a hard violation or the score bound).
+    #: Candidates the search gave up on without evaluating them (the
+    #: budget-exhausted fallback).
     candidates_skipped: int = 0
-    #: Tree nodes cut by branch-and-bound (each covers many candidates).
-    nodes_pruned: int = 0
     #: True when this result was served from the cross-sweep memo.
     cache_hit: bool = False
     #: Wall time of the search that produced this result.
     elapsed_ms: float = 0.0
-    #: "pruned", "reference", "reference-fallback" (opaque constraints),
-    #: or "fallback" (budget exhausted / absorbed fault).
-    strategy: str = "pruned"
     #: True when the search gave up and returned the conservative
     #: fallback mapping instead of the Algorithm 1 winner.
     degraded: bool = False
     #: Why the search degraded (empty for full-fidelity results).
     degraded_reason: str = ""
     #: ``(rows, levels)`` of the candidate matrix when the vectorized
-    #: engine ran; None for the walking engines.
+    #: engine ran; None for the exhaustive loop.
     batch_shape: Optional[Tuple[int, int]] = None
 
     def telemetry(self) -> dict:
@@ -135,7 +123,6 @@ class SearchResult:
             "candidates_feasible": self.candidates_feasible,
             "candidates_scored": self.candidates_scored,
             "candidates_skipped": self.candidates_skipped,
-            "nodes_pruned": self.nodes_pruned,
             "elapsed_ms": self.elapsed_ms,
             "degraded": self.degraded,
             # getattr: results unpickled from artifacts written before the
@@ -161,64 +148,20 @@ def _effective_block_sizes(
     return tuple(block_sizes)
 
 
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an engine request (argument > environment > ``auto``).
+def span_options_for_levels(
+    cset: ConstraintSet, num_levels: int
+) -> Tuple[Tuple[SpanType, ...], ...]:
+    """Per-level span options, in the search's enumeration order.
 
-    ``engine=None`` defers to the ``REPRO_SEARCH_ENGINE`` environment
-    variable, which defers to ``auto``.  Unknown names raise
-    :class:`~repro.errors.SearchError` — a typo'd override failing loudly
-    beats a sweep silently run on the wrong engine.
+    Levels under a hard Span(all) requirement get ``(SpanAll(),)``; the
+    rest get ``(Span(1), SpanAll())``.  Both engines read this so their
+    candidate spaces stay identical.
     """
-    if engine is None:
-        engine = os.environ.get(SEARCH_ENGINE_ENV) or "auto"
-    engine = engine.strip().lower()
-    if engine not in SEARCH_ENGINES:
-        raise SearchError(
-            f"unknown search engine {engine!r}; expected one of "
-            f"{', '.join(SEARCH_ENGINES)}"
-        )
-    return engine
-
-
-def count_candidates(
-    num_levels: int,
-    cset: ConstraintSet,
-    block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
-) -> int:
-    """Exact size of the enumerated candidate space, without enumerating.
-
-    The same counting DP the pruned walk uses for skipped subtrees,
-    summed over every dimension permutation: structurally valid block
-    size tuples (per-dim caps, per-block product cap) times the span
-    combinations.  Auto engine selection reads this to route tiny spaces
-    to the plain exhaustive loop, whose fixed costs are the lowest.
-    """
-    block_sizes = tuple(block_sizes)
-    span_mult = 1
-    for options in span_options_for_levels(cset, num_levels):
-        span_mult *= len(options)
-    dims = list(Dim)[:num_levels]
-    total = 0
-    for dim_perm in itertools.permutations(dims, num_levels):
-        memo: dict = {}
-
-        def tuples(k: int, budget: int) -> int:
-            if k == num_levels:
-                return 1
-            key = (k, budget)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            cap = DIM_MAX_THREADS[dim_perm[k]]
-            count = 0
-            for size in block_sizes:
-                if size <= cap and size <= budget:
-                    count += tuples(k + 1, budget // size)
-            memo[key] = count
-            return count
-
-        total += tuples(0, MAX_BLOCK_SIZE)
-    return total * span_mult
+    span_all = cset.span_all_levels()
+    return tuple(
+        (SpanAll(),) if level in span_all else (Span(1), SpanAll())
+        for level in range(num_levels)
+    )
 
 
 def enumerate_candidates(
@@ -258,9 +201,10 @@ def enumerate_candidates(
 class _Incumbent:
     """Best-so-far state with the reservoir tie-break.
 
-    Both search implementations route every feasible candidate through
-    :meth:`decide`, in the same enumeration order, so the sequence of
-    random draws — and therefore the winner — is identical between them.
+    The exhaustive loop routes every feasible candidate through
+    :meth:`decide` in enumeration order; the vectorized engine replays
+    the same sequence of random draws from its packed keys, so the
+    winner is identical between them.
 
     The deterministic tie-break chain is score, then DOP, then
     lexicographically larger per-level block sizes (outermost level
@@ -297,17 +241,6 @@ class _Incumbent:
         return False
 
 
-def _cannot_reach(bound: float, best: float) -> bool:
-    """Float-safe strict comparison for pruning.
-
-    The optimistic bound is assembled with plain additions while true
-    scores use exact ``fsum``; the slack keeps a bound that merely
-    *rounds* below the incumbent from pruning a genuine tie (which would
-    desynchronize the reservoir sampler from the reference).
-    """
-    return bound < best - (abs(best) * 1e-12 + 1e-12)
-
-
 def _validate(num_levels: int, sizes: Sequence[int]) -> Tuple[int, ...]:
     sizes_t = tuple(sizes)
     if len(sizes_t) != num_levels:
@@ -318,31 +251,29 @@ def _validate(num_levels: int, sizes: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _finish(
-    inc: _Incumbent,
+    winner: Optional[Mapping],
+    score: float,
     cset: ConstraintSet,
     sizes_t: Tuple[int, ...],
     window: DopWindow,
     total: int,
     feasible: int,
     all_scored: List[ScoredMapping],
-    scored: int,
-    skipped: int,
-    nodes_pruned: int,
     strategy: str,
 ) -> SearchResult:
-    if inc.mapping is None:
+    """Apply ControlDOP to the winner and assemble the result (both
+    engines score every candidate they enumerate)."""
+    if winner is None:
         raise SearchError("no feasible mapping satisfies the hard constraints")
-    adjusted = control_dop(inc.mapping, sizes_t, window, cset.span_all_levels())
+    adjusted = control_dop(winner, sizes_t, window, cset.span_all_levels())
     return SearchResult(
         mapping=adjusted,
-        score=inc.score,
+        score=score,
         dop=adjusted.dop(sizes_t),
         candidates_total=total,
         candidates_feasible=feasible,
         all_scored=all_scored,
-        candidates_scored=scored,
-        candidates_skipped=skipped,
-        nodes_pruned=nodes_pruned,
+        candidates_scored=total,
         strategy=strategy,
     )
 
@@ -358,8 +289,8 @@ def _search_exhaustive(
     strategy: str,
     budget: Optional[Budget] = None,
 ) -> SearchResult:
-    """The original brute-force loop (shared by the reference entry point
-    and the opaque-constraint fallback)."""
+    """The brute-force loop (shared by the reference entry point and the
+    fallback for constraints without a batch predicate)."""
     rng = random.Random(seed)
     inc = _Incumbent(rng)
     total = 0
@@ -383,8 +314,8 @@ def _search_exhaustive(
             inc.mapping = mapping
 
     return _finish(
-        inc, cset, sizes_t, window, total, feasible, all_scored,
-        scored=total, skipped=0, nodes_pruned=0, strategy=strategy,
+        inc.mapping, inc.score, cset, sizes_t, window, total, feasible,
+        all_scored, strategy,
     )
 
 
@@ -486,7 +417,6 @@ def _record_search_metrics(result: SearchResult) -> None:
     metrics.counter("search.candidates.skipped").inc(
         data["candidates_skipped"]
     )
-    metrics.counter("search.nodes.pruned").inc(data["nodes_pruned"])
     metrics.counter(f"search.strategy.{data['strategy']}").inc()
     metrics.histogram("search.elapsed_ms").observe(data["elapsed_ms"])
     if data["batch_shape"] is not None:
@@ -534,223 +464,6 @@ def search_mapping_reference(
     return result
 
 
-def _search_pruned(
-    num_levels: int,
-    cset: ConstraintSet,
-    sizes_t: Tuple[int, ...],
-    window: DopWindow,
-    block_sizes: Tuple[int, ...],
-    keep_all: bool,
-    seed: int,
-    tables: ConstraintTables,
-    budget: Optional[Budget] = None,
-) -> SearchResult:
-    """Branch-and-bound over the candidate tree using the tables."""
-    # ``budget`` here is the work budget; the walk's positional ``budget``
-    # parameter below is the remaining thread-block-size budget.
-    work_budget = budget
-    # Per-subtree visit/prune instants are high-volume, so they only fire
-    # for a detail-mode tracer (``repro trace --detail``); the flag is
-    # hoisted so the disabled cost inside the walk is one local check.
-    tracer = get_tracer()
-    emit_events = tracer.enabled and tracer.detail
-    rng = random.Random(seed)
-    inc = _Incumbent(rng)
-    dims = list(Dim)[:num_levels]
-    cells = tables.cells
-    span_counts = [len(opts) for opts in tables.span_options]
-    cross_opt = tables.cross_optimistic
-
-    total = 0
-    feasible = 0
-    scored = 0
-    skipped = 0
-    nodes_pruned = 0
-    all_scored: List[ScoredMapping] = []
-
-    # keep_all must retain every feasible candidate, so only subtrees with
-    # zero feasible candidates may be skipped; exact feasibility counting
-    # for bound-pruned subtrees additionally needs hard feasibility to
-    # factorize per level.
-    allow_bound_prune = tables.hard_level_only and not keep_all
-    allow_leaf_skip = not keep_all
-
-    chosen_cells: List = [None] * num_levels
-    chosen_sizes = [0] * num_levels
-
-    for dim_perm in itertools.permutations(dims, num_levels):
-        # Optimistic soft weight attainable by levels k.. for this
-        # dimension assignment (used in the branch-and-bound test).
-        suffix = [0.0] * (num_levels + 1)
-        for level in range(num_levels - 1, -1, -1):
-            suffix[level] = (
-                suffix[level + 1]
-                + tables.level_dim_max[(level, dim_perm[level])]
-            )
-
-        # Counting DP: candidates in the subtree of a size prefix, as the
-        # reference would have enumerated them.  Memoized per remaining
-        # block budget (a handful of values).
-        memo: dict = {}
-
-        def completions(k: int, budget: int) -> Tuple[int, int]:
-            """(total, hard-feasible) candidate counts over levels k.. ."""
-            if k == num_levels:
-                return (1, 1)
-            key = (k, budget)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            t_count = f_count = 0
-            dim = dim_perm[k]
-            cap = DIM_MAX_THREADS[dim]
-            for size in block_sizes:
-                if size > cap or size > budget:
-                    continue
-                sub_t, sub_f = completions(k + 1, budget // size)
-                t_count += sub_t * span_counts[k]
-                f_count += sub_f * cells[(k, dim, size)].feasible_spans
-            memo[key] = (t_count, f_count)
-            return (t_count, f_count)
-
-        def leaf(span_mult: int, feas_mult: int) -> None:
-            nonlocal total, feasible, scored, skipped, nodes_pruned
-            product = 1
-            for size in chosen_sizes:
-                product *= size
-            block_ok, block_w = tables.block_eval(product)
-            warp_ok, warp_w = tables.warp_eval(dim_perm, chosen_sizes)
-            if not (block_ok and warp_ok):
-                total += span_mult
-                skipped += span_mult
-                nodes_pruned += 1
-                if emit_events:
-                    tracer.instant(
-                        "search.prune", kind="block-infeasible",
-                        sizes=str(tuple(chosen_sizes)), candidates=span_mult,
-                    )
-                return
-            base_w = block_w + warp_w
-            wmax = math.fsum(base_w)
-            for cell in chosen_cells:
-                wmax += cell.max_weight
-            if allow_leaf_skip and _cannot_reach(wmax, inc.score):
-                total += span_mult
-                feasible += feas_mult
-                skipped += span_mult
-                nodes_pruned += 1
-                if emit_events:
-                    tracer.instant(
-                        "search.prune", kind="score-bound",
-                        sizes=str(tuple(chosen_sizes)), candidates=span_mult,
-                    )
-                return
-            sizes_key = tuple(chosen_sizes)
-            if emit_events:
-                tracer.instant(
-                    "search.visit", sizes=str(sizes_key),
-                    candidates=span_mult,
-                )
-            for combo in itertools.product(
-                *(cell.choices for cell in chosen_cells)
-            ):
-                if work_budget is not None and not work_budget.spend():
-                    raise _BudgetStop()
-                total += 1
-                scored += 1
-                if not all(ch.hard_ok for ch in combo):
-                    continue
-                feasible += 1
-                weights = base_w
-                dop = 1
-                for ch in combo:
-                    weights = weights + ch.weights
-                    dop *= ch.dop
-                score = math.fsum(weights)
-
-                def make_mapping(combo=combo) -> Mapping:
-                    return Mapping(
-                        tuple(
-                            LevelMapping(
-                                dim_perm[level],
-                                chosen_sizes[level],
-                                combo[level].span,
-                            )
-                            for level in range(num_levels)
-                        )
-                    )
-
-                if keep_all:
-                    mapping = make_mapping()
-                    all_scored.append(ScoredMapping(mapping, score, dop))
-                    if inc.decide(score, dop, sizes_key):
-                        inc.mapping = mapping
-                elif inc.decide(score, dop, sizes_key):
-                    inc.mapping = make_mapping()
-
-        def walk(
-            k: int, budget: int, opt_prefix: float,
-            span_mult: int, feas_mult: int,
-        ) -> None:
-            nonlocal total, feasible, skipped, nodes_pruned
-            if work_budget is not None and not work_budget.spend():
-                raise _BudgetStop()
-            if k == num_levels:
-                leaf(span_mult, feas_mult)
-                return
-            dim = dim_perm[k]
-            cap = DIM_MAX_THREADS[dim]
-            for size in block_sizes:
-                if size > cap or size > budget:
-                    continue
-                cell = cells[(k, dim, size)]
-                sub_mult = span_mult * span_counts[k]
-                if cell.feasible_spans == 0:
-                    # Level k violates a hard constraint for every span:
-                    # the whole subtree is infeasible.
-                    sub_t, _ = completions(k + 1, budget // size)
-                    count = sub_t * sub_mult
-                    total += count
-                    skipped += count
-                    nodes_pruned += 1
-                    if emit_events:
-                        tracer.instant(
-                            "search.prune", kind="hard-subtree",
-                            level=k, block_size=size, candidates=count,
-                        )
-                    continue
-                opt = opt_prefix + cell.max_weight
-                if allow_bound_prune and _cannot_reach(
-                    opt + suffix[k + 1] + cross_opt, inc.score
-                ):
-                    sub_t, sub_f = completions(k + 1, budget // size)
-                    total += sub_t * sub_mult
-                    feasible += sub_f * feas_mult * cell.feasible_spans
-                    skipped += sub_t * sub_mult
-                    nodes_pruned += 1
-                    if emit_events:
-                        tracer.instant(
-                            "search.prune", kind="bound-subtree",
-                            level=k, block_size=size,
-                            candidates=sub_t * sub_mult,
-                        )
-                    continue
-                chosen_cells[k] = cell
-                chosen_sizes[k] = size
-                walk(
-                    k + 1, budget // size, opt,
-                    sub_mult, feas_mult * cell.feasible_spans,
-                )
-
-        walk(0, MAX_BLOCK_SIZE, 0.0, 1, 1)
-
-    return _finish(
-        inc, cset, sizes_t, window, total, feasible, all_scored,
-        scored=scored, skipped=skipped, nodes_pruned=nodes_pruned,
-        strategy="pruned",
-    )
-
-
 def search_mapping(
     num_levels: int,
     cset: ConstraintSet,
@@ -761,13 +474,12 @@ def search_mapping(
     seed: int = TIE_BREAK_SEED,
     use_cache: bool = True,
     budget: Optional[Budget] = None,
-    engine: Optional[str] = None,
 ) -> SearchResult:
     """Run Algorithm 1 and return the selected mapping.
 
-    This is the staged pipeline: memo lookup, engine selection, then the
-    chosen engine (plain exhaustive loop, pruned tree walk, or the
-    vectorized batch engine).  Results are byte-identical to
+    This is the staged pipeline: memo lookup, then the vectorized batch
+    engine, or the exhaustive loop when a constraint has no batch
+    predicate.  Results are byte-identical to
     :func:`search_mapping_reference` whichever engine runs (asserted by
     ``tests/analysis/test_search_equivalence.py`` and
     ``tests/analysis/test_search_engines.py``).
@@ -784,18 +496,9 @@ def search_mapping(
         budget: optional node/deadline budget; on exhaustion the search
             returns the conservative fallback mapping (``degraded=True``)
             instead of raising.
-        engine: ``"auto"`` (default; also via ``REPRO_SEARCH_ENGINE``)
-            picks the cheapest engine for the space — the plain
-            exhaustive loop below ``SEARCH_SMALL_SPACE_CANDIDATES``
-            candidates, the vectorized batch engine when every
-            constraint has a batch predicate, the pruned walk otherwise.
-            ``"exhaustive"`` / ``"pruned"`` / ``"vectorized"`` force one;
-            a forced engine that cannot run the set falls back to the
-            next correct one rather than failing.
     """
     if window is None:
         window = DopWindow()
-    engine = resolve_engine(engine)
     block_sizes = _effective_block_sizes(num_levels, block_sizes)
     sizes_t = _validate(num_levels, sizes)
     start = time.perf_counter()
@@ -814,14 +517,9 @@ def search_mapping(
         cache = get_search_cache() if use_cache else None
         key = None
         if cache is not None:
-            # The engine is part of the key: all engines return
-            # byte-identical mappings, but the telemetry (strategy,
-            # batch shape, work counters) describes the engine that ran,
-            # and a forced-engine caller must not be served another
-            # engine's diagnostics.
             key = search_cache_key(
                 cset, num_levels, sizes_t, block_sizes, window, keep_all,
-                seed, engine=engine,
+                seed,
             )
             try:
                 hit = cache.get(key)
@@ -843,13 +541,12 @@ def search_mapping(
 
         result = _search_fresh(
             num_levels, cset, sizes_t, window, block_sizes, keep_all, seed,
-            budget, engine=engine,
+            budget,
         )
         # The one and only elapsed_ms assignment for a fresh result:
-        # pruned, reference-fallback, and budget-degraded paths all flow
-        # through here, so a budget-exhausted search reports the true wall
-        # time of this call exactly once (previously the early-exhausted
-        # return and the main exit each carried their own assignment).
+        # vectorized, reference-fallback, and budget-degraded paths all
+        # flow through here, so a budget-exhausted search reports the
+        # true wall time of this call exactly once.
         result.elapsed_ms = (time.perf_counter() - start) * 1e3
         if cache is not None and key is not None and not result.degraded:
             # Degraded results are a budget artifact, not the true answer
@@ -869,7 +566,6 @@ def _search_fresh(
     keep_all: bool,
     seed: int,
     budget: Optional[Budget],
-    engine: str = "auto",
 ) -> SearchResult:
     """The uncached search body.  Leaves ``elapsed_ms`` unset — the
     caller stamps it once, whichever path produced the result."""
@@ -881,66 +577,19 @@ def _search_fresh(
             reason="search budget exhausted before enumeration",
             budget=budget,
         )
-
-    if engine == "auto":
-        # Cheapest engine for the space: tiny spaces lose more to staging
-        # (tables, arrays) than the plain loop costs; large batch-capable
-        # spaces belong to the vectorized engine; the pruned walk covers
-        # the rest.  A detail-mode tracer wants the per-subtree
-        # visit/prune instants only the walk can emit, so it pins the
-        # walk rather than silently tracing nothing.
-        tracer = get_tracer()
-        if tracer.enabled and tracer.detail:
-            engine = "pruned"
-        elif (count_candidates(num_levels, cset, block_sizes)
-                <= SEARCH_SMALL_SPACE_CANDIDATES):
-            engine = "exhaustive"
-        elif batch_supported(cset):
-            engine = "vectorized"
-        else:
-            engine = "pruned"
-
     try:
-        # The exhaustive loop and the batch engine detect infeasibility
-        # and opacity themselves, so neither pays for constraint tables.
-        if engine == "exhaustive":
-            return _search_exhaustive(
+        try:
+            return _search_vectorized(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
-                seed, strategy="exhaustive", budget=budget,
+                seed, budget=budget,
             )
-        if engine == "vectorized":
-            try:
-                return _search_vectorized(
-                    num_levels, cset, sizes_t, window, block_sizes,
-                    keep_all, seed, budget=budget,
-                )
-            except BatchUnsupported:
-                # Opaque constraint or int64 overflow: degrade to the
-                # walking engines below, which handle both.
-                pass
-
-        tables = ConstraintTables.build(
-            cset, num_levels, sizes_t, block_sizes
-        )
-        if tables.always_infeasible:
-            # A hard constraint no candidate can satisfy (the reference
-            # would enumerate everything and raise the same error).
-            raise SearchError(
-                "no feasible mapping satisfies the hard constraints"
-            )
-        if tables.has_opaque:
-            # Unknown constraint types: fall back to per-candidate
-            # evaluation (correct for any satisfied_by, just not
-            # table-accelerated).  This also guards a forced "pruned":
-            # the walk cannot evaluate opaque constraints at all.
+        except BatchUnsupported:
+            # A constraint without a batch predicate, or one declining at
+            # runtime: evaluate every candidate one at a time instead.
             return _search_exhaustive(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
                 seed, strategy="reference-fallback", budget=budget,
             )
-        return _search_pruned(
-            num_levels, cset, sizes_t, window, block_sizes, keep_all,
-            seed, tables, budget=budget,
-        )
     except _BudgetStop:
         return _fallback_result(
             num_levels, cset, sizes_t, window,

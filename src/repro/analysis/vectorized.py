@@ -1,12 +1,12 @@
 """Vectorized batch mapping search: the candidate space as NumPy arrays.
 
-The third search engine (after the exhaustive reference and the pruned
-branch-and-bound walk).  Instead of walking candidates one Python object
-at a time, it materializes the *whole* candidate space as integer-coded
-matrices — one row per candidate, one column per nest level, separate
-arrays for the dimension assignment, the block size, and the span code —
-and evaluates every constraint once as a vectorized predicate over the
-full candidate matrix (:meth:`repro.analysis.constraints.Constraint.batch_satisfied`).
+The fast search engine beside the exhaustive reference loop.  Instead
+of walking candidates one Python object at a time, it materializes the
+*whole* candidate space as integer-coded matrices — one row per
+candidate, one column per nest level, separate arrays for the dimension
+assignment, the block size, and the span code — and evaluates every
+constraint once as a vectorized predicate over the full candidate
+matrix (:meth:`repro.analysis.constraints.Constraint.batch_satisfied`).
 
 The space is a cross product of three small factor axes — dimension
 permutations, block-size grid rows, span combinations — and the batch
@@ -39,8 +39,8 @@ ordering, and the seeded tie-break.  Four mechanisms carry that:
   float dot product (which rounds per add).  Candidates are grouped by
   their satisfied-soft-constraint bit pattern (a ``bincount`` fold over
   the constraint columns) and each distinct pattern is summed once with
-  :func:`math.fsum` — the exact, order-independent sum both other
-  engines use, so equal weight sets give equal floats.
+  :func:`math.fsum` — the exact, order-independent sum the reference
+  uses, so equal weight sets give equal floats.
 * **Tie-break replay.**  The reference threads every feasible candidate
   through a stateful reservoir sampler whose random draws depend on the
   running incumbent.  The engine packs each candidate's
@@ -51,15 +51,17 @@ ordering, and the seeded tie-break.  Four mechanisms carry that:
   maximum's first appearance are skipped in bulk; only the final tie
   pool — typically a handful of candidates — replays its draws one by
   one.
-* **Overflow containment.**  DOP products are compared as int64; when
-  the worst-case product cannot fit, the engine declines
-  (:class:`BatchUnsupported`) and the caller falls back to the walk,
-  which compares arbitrary-precision Python ints.
+* **Exact DOP past int64.**  DOP products are compared as int64 while
+  the worst-case product fits.  Beyond that the DOP table is built in
+  Python ints and rank-coded into the packed key (ranks order the
+  candidates exactly as the DOPs do); ``keep_all`` reports the exact
+  values.
 
 Eligibility: every constraint must carry a batch predicate
-(:func:`repro.analysis.tables.batch_supported`); opaque constraints or a
-``batch_satisfied`` returning ``None`` raise :class:`BatchUnsupported`
-and the staged pipeline falls back exactly as it does for the tables.
+(:func:`~repro.analysis.constraints.has_batch_predicate`); a constraint
+without one, or a ``batch_satisfied`` returning ``None``, raises
+:class:`BatchUnsupported` and :func:`~repro.analysis.search.search_mapping`
+runs the exhaustive loop instead.
 """
 
 from __future__ import annotations
@@ -93,10 +95,11 @@ from .mapping import (
     span_code,
 )
 from .scoring import ScoredMapping
-from .tables import span_options_for_levels
+from .search import span_options_for_levels
 
 #: int64 head-room bound for exact DOP / packed-key comparison; above
-#: this the engine declines rather than risk silent wrap-around.
+#: this the DOP table switches to Python ints rather than risk silent
+#: wrap-around.
 _INT64_SAFE_BITS = 62
 
 #: Bin ceiling for one pattern-fold bincount chunk (2**16 int64 bins is
@@ -109,9 +112,9 @@ class BatchUnsupported(Exception):
     """The candidate space cannot be evaluated as a batch.
 
     Raised when a constraint lacks a batch predicate (or returns ``None``
-    at runtime) or when exact int64 DOP comparison could overflow.  The
-    staged pipeline catches this and falls back to the pruned walk — the
-    same containment the tables apply to opaque constraints.
+    at runtime), or when the packed tie-break key cannot fit int64 even
+    with rank-coded DOPs.  :func:`~repro.analysis.search.search_mapping`
+    catches this and runs the exhaustive loop instead.
     """
 
 
@@ -393,7 +396,7 @@ class _CandidateStructure:
         ).reshape(self.span_tile, num_levels)
         self.grid_codes = _grid_codes(grid_table, block_sizes)
         self.shared: dict = {}
-        self.dop_memo: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {}
+        self.dop_memo: Dict[Tuple[int, ...], Tuple] = {}
 
     def batch(self, sizes: Tuple[int, ...]) -> CandidateBatch:
         """A batch over this structure at the given analysis sizes.
@@ -554,8 +557,10 @@ def _state_scores(
     )
 
 
-def _dop_table(struct, sizes_t: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
-    """Exact DOP per (grid row, span combo), plus the worst-case bound.
+def _dop_table(
+    struct, sizes_t: Tuple[int, ...]
+) -> Tuple[np.ndarray, int, np.ndarray]:
+    """Exact DOP per (grid row, span combo) as ``(keys, bound, exact)``.
 
     Mirrors :meth:`Mapping.dop` for the search's span space: a Span(1)
     level contributes ``max(1, size)``, a Span(all) level
@@ -563,28 +568,56 @@ def _dop_table(struct, sizes_t: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
     a (G, T) product of L broadcasts — never per candidate.  ``struct``
     is anything with ``grid_table``/``span_table`` (a structure or a
     batch).
+
+    ``keys`` is what the packed tie-break key reads and ``bound`` an
+    upper bound on it.  While the product of the sizes fits int64,
+    ``keys`` holds the raw DOPs and ``exact`` is ``keys``.  Past that the
+    table is built in Python ints: ``exact`` holds them (an object
+    array, read by ``keep_all``) and ``keys`` their ranks, which order
+    the candidates exactly as the DOPs do.
     """
-    bound = 1
-    for size in sizes_t:
-        bound *= max(1, size)
-    if bound.bit_length() >= _INT64_SAFE_BITS:
-        raise BatchUnsupported(
-            "DOP products exceed exact int64 range at these sizes"
-        )
-    grid = struct.grid_table  # (G, L)
-    span_table = struct.span_table  # (T, L)
-    table = np.ones((grid.shape[0], span_table.shape[0]), dtype=np.int64)
-    for lvl in range(len(sizes_t)):
-        hint = max(1, sizes_t[lvl])
-        span1 = span_table[:, lvl] == SPAN_CODE_SPAN1  # (T,)
-        capped = np.minimum(grid[:, lvl], hint)  # (G,)
-        table *= np.where(span1[None, :], hint, capped[:, None])
-    return table, bound
+    hints = [max(1, size) for size in sizes_t]
+    bound = math.prod(hints)
+    span1 = struct.span_table == SPAN_CODE_SPAN1  # (T, L)
+    # Span(1) levels contribute their whole hint: one Python int per
+    # span combination.
+    span1_part = [
+        math.prod(hint for hint, is_span1 in zip(hints, row) if is_span1)
+        for row in span1.tolist()
+    ]
+    # Span(all) levels contribute the block size capped at the hint.
+    # Block sizes never exceed MAX_BLOCK_SIZE, so capping the hint there
+    # first keeps this part in int64 at any size.
+    capped = np.minimum(
+        struct.grid_table, [min(hint, MAX_BLOCK_SIZE) for hint in hints]
+    )  # (G, L)
+    span_all_part = np.ones(
+        (capped.shape[0], len(span1_part)), dtype=np.int64
+    )
+    for lvl in range(len(hints)):
+        span_all_part *= np.where(span1[:, lvl], 1, capped[:, lvl, None])
+    if bound.bit_length() < _INT64_SAFE_BITS:
+        table = span_all_part * np.asarray(span1_part, dtype=np.int64)
+        return table, bound, table
+    # Past int64: only a few dozen (span combo, Span(all) part) pairs are
+    # distinct, so multiply those out in Python ints and rank them.
+    tile = len(span1_part)
+    pairs, inverse = np.unique(
+        span_all_part * tile + np.arange(tile), return_inverse=True
+    )
+    pair_dops = np.asarray(
+        [span1_part[p % tile] * (p // tile) for p in pairs.tolist()],
+        dtype=object,
+    )
+    values, ranks = np.unique(pair_dops, return_inverse=True)
+    shape = span_all_part.shape
+    keys = ranks[inverse].reshape(shape).astype(np.int64)
+    return keys, len(values), pair_dops[inverse].reshape(shape)
 
 
 def _dop_table_cached(
     struct: _CandidateStructure, sizes_t: Tuple[int, ...]
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, int, np.ndarray]:
     cached = struct.dop_memo.get(sizes_t)
     if cached is None:
         cached = _dop_table(struct, sizes_t)
@@ -776,7 +809,7 @@ def search_mapping_vectorized(
     Byte-identical to :func:`search_mapping_reference`; raises
     :class:`BatchUnsupported` when a constraint has no batch predicate.
     Most callers want :func:`~repro.analysis.search.search_mapping`,
-    which auto-selects the engine and falls back gracefully.
+    which memoizes and runs the exhaustive loop for such sets.
     """
     from .search import (
         _BudgetStop,
@@ -823,7 +856,7 @@ def _search_vectorized(
     budget: Optional[Budget] = None,
 ):
     """The batch engine body (no timing; the caller stamps elapsed_ms)."""
-    from .search import _BudgetStop, _finish, _Incumbent
+    from .search import _BudgetStop, _finish
 
     if not all(has_batch_predicate(c) for c in cset.constraints):
         raise BatchUnsupported(
@@ -868,7 +901,7 @@ def _search_vectorized(
     )
     base_only_scores = not soft_combo and not soft_full
 
-    dop_table, dop_bound = _dop_table_cached(struct, sizes_t)
+    dop_table, dop_bound, dop_exact = _dop_table_cached(struct, sizes_t)
     code_bound = (len(block_sizes) + 1) ** num_levels
 
     state: Optional[np.ndarray] = None  # per-feasible-row state ids
@@ -947,7 +980,7 @@ def _search_vectorized(
         rows_iter = (
             range(total) if feasible_rows is None else feasible_rows
         )
-        dop_flat = dop_table.reshape(-1)
+        dop_flat = dop_exact.reshape(-1)
         for pos, row in enumerate(rows_iter):
             row = int(row)
             base_row, combo_row = divmod(row, tile)
@@ -964,18 +997,13 @@ def _search_vectorized(
                 )
             )
 
-    # A pre-decided shim for _finish: the winner and its score are known.
-    winner_base = winner_row // tile
     if state is None:
-        winner_score = float(state_scores[state_b[winner_base]])
+        winner_score = float(state_scores[state_b[winner_row // tile]])
     else:
         winner_score = float(state_scores[state[winner]])
-    inc = _Incumbent(random.Random(0))
-    inc.mapping = _mapping_for_row(winner_row, batch, span_combos)
-    inc.score = winner_score
     result = _finish(
-        inc, cset, sizes_t, window, total, n_feas, all_scored,
-        scored=total, skipped=0, nodes_pruned=0, strategy="vectorized",
+        _mapping_for_row(winner_row, batch, span_combos), winner_score,
+        cset, sizes_t, window, total, n_feas, all_scored, "vectorized",
     )
     result.batch_shape = (total, num_levels)
     return result

@@ -24,7 +24,7 @@ Commands
     cell degrades gracefully or fails typed-with-report.
 ``replay-failure FILE [FILE ...]``
     Re-execute the pipeline failures recorded in report artifacts.
-``trace <app> [k=v ...] [--detail] [-o FILE] [--provenance FILE]``
+``trace <app> [k=v ...] [-o FILE] [--provenance FILE]``
     Compile, cost-estimate, and run an app with tracing on; write a
     Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)
     and optionally the mapping-provenance artifact.
@@ -139,10 +139,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     for index, ka in enumerate(pa.kernels):
         print(f"=== kernel {index} (depth {ka.depth}, "
               f"sizes {ka.level_sizes()}) ===")
-        decision = decide_mapping(
-            ka, args.strategy, device, engine=getattr(args, "engine", None),
-            flags=flags,
-        )
+        decision = decide_mapping(ka, args.strategy, device, flags=flags)
         if args.explain:
             from repro.analysis import explain_mapping
 
@@ -331,7 +328,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     app = _resolve_app(args.app)
     sizes = _clamped_sizes(app, _parse_sizes(args.sizes))
-    with capture(detail=args.detail) as obs:
+    with capture() as obs:
         program = app.build()
         program = dataclasses.replace(
             program, size_hints={**(program.size_hints or {}), **sizes}
@@ -1253,21 +1250,12 @@ def cmd_recipe_tune(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.config import SEARCH_ENGINES
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_engine_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine", default=None, choices=SEARCH_ENGINES,
-            help="mapping-search engine (default: REPRO_SEARCH_ENGINE "
-                 "env or auto-select by candidate-space size)",
-        )
 
     sub.add_parser("info", help="package overview").set_defaults(fn=cmd_info)
     sub.add_parser("apps", help="list benchmark apps").set_defaults(
@@ -1290,7 +1278,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-constraint accounting of the mapping's score",
     )
     add_disable_opt_flag(p_map)
-    add_engine_flag(p_map)
     p_map.set_defaults(fn=cmd_map)
 
     p_cuda = sub.add_parser("cuda", help="dump generated CUDA for an app")
@@ -1404,9 +1391,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(unspecified sizes are clamped to 64)")
     p_tr.add_argument("--strategy", default="multidim")
     p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.add_argument("--detail", action="store_true",
-                      help="also record per-subtree search prune/visit "
-                      "events (high volume)")
     p_tr.add_argument("--no-run", action="store_true",
                       help="skip the functional interpreter run")
     p_tr.add_argument("-o", "--output", default="trace.json",
@@ -1415,7 +1399,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the mapping-provenance JSON")
     p_tr.add_argument("--stats", action="store_true",
                       help="also print the metrics-registry snapshot")
-    add_engine_flag(p_tr)
     p_tr.set_defaults(fn=cmd_trace)
 
     p_st = sub.add_parser(
@@ -1432,7 +1415,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "instead of compiling locally")
     p_st.add_argument("--timeout", type=float, default=30.0,
                       help="HTTP timeout for --url queries (seconds)")
-    add_engine_flag(p_st)
     p_st.set_defaults(fn=cmd_stats)
 
     p_ex = sub.add_parser(
@@ -1478,7 +1460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--trace", default=None, metavar="FILE",
                       help="write a Chrome trace of every request on "
                       "shutdown")
-    add_engine_flag(p_sv)
     p_sv.set_defaults(fn=cmd_serve)
 
     p_sub = sub.add_parser(
@@ -1639,7 +1620,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default fleet-logs)")
     fl_sv.add_argument("--trace", default=None, metavar="FILE",
                        help="write a Chrome trace on shutdown")
-    add_engine_flag(fl_sv)
     fl_sv.set_defaults(fn=cmd_fleet_serve)
 
     fl_sub_p = fl_sub.add_parser(
@@ -1765,15 +1745,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     import sys
 
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine", None):
-        # One switch for every compile path a command may reach (local
-        # searches, GpuSession pipelines, the compile service): the
-        # search resolves this environment override per invocation.
-        import os
-
-        from repro.config import SEARCH_ENGINE_ENV
-
-        os.environ[SEARCH_ENGINE_ENV] = args.engine
     try:
         return args.fn(args)
     except BrokenPipeError:

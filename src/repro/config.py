@@ -31,18 +31,6 @@ BLOCK_SIZE_CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 # experiment tables are reproducible run to run.
 TIE_BREAK_SEED = 0x5EED
 
-# Mapping-search engine selection (``search_mapping``).  "auto" picks the
-# cheapest engine for the enumerated candidate count: below
-# SEARCH_SMALL_SPACE_CANDIDATES the plain exhaustive loop wins (the staged
-# machinery's fixed costs exceed the walk at depth 1); above it the
-# NumPy batch engine evaluates the whole candidate matrix at once,
-# falling back to the branch-and-bound walk for constraint sets without
-# a batch predicate.  Override per process with the environment variable
-# below or per call with ``search_mapping(engine=...)``.
-SEARCH_ENGINE_ENV = "REPRO_SEARCH_ENGINE"
-SEARCH_ENGINES = ("auto", "exhaustive", "pruned", "vectorized")
-SEARCH_SMALL_SPACE_CANDIDATES = 64
-
 # Reserved keys in Program.size_hints:
 #   DEFAULT_HINT_KEY overrides the 1000-default for dynamically sized
 #   inner domains (e.g. the average degree of a graph workload);

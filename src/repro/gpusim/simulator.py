@@ -51,7 +51,6 @@ def decide_mapping(
     device: GpuDevice,
     optimize: bool = True,
     budget=None,
-    engine: Optional[str] = None,
     flags=None,
 ) -> KernelDecision:
     """Resolve a strategy to a concrete mapping for one kernel.
@@ -60,9 +59,8 @@ def decide_mapping(
     utilized the optimizations where applicable") the Section-V pipeline
     builds the launch plan; otherwise a bare plan with preallocation only.
     ``budget`` bounds the MultiDim search (ignored by fixed strategies,
-    which decide in constant time); ``engine`` forces a search engine for
-    the MultiDim strategy; ``flags`` selects which optimization passes
-    the pipeline applies (default: all).
+    which decide in constant time); ``flags`` selects which optimization
+    passes the pipeline applies (default: all).
     """
     score: Optional[float] = None
     search: Optional[SearchResult] = None
@@ -70,7 +68,7 @@ def decide_mapping(
         mapping = strategy
     elif strategy == "multidim":
         search = analysis.select_mapping(
-            window=device.dop_window(), budget=budget, engine=engine
+            window=device.dop_window(), budget=budget
         )
         mapping, score = search.mapping, search.score
     else:

@@ -2,7 +2,7 @@
 
 The registry is the single home for pipeline statistics that used to be
 scattered across ad-hoc fields: memo-cache hits/misses/evictions,
-branch-and-bound pruned-vs-visited counts, constraint counts by
+search candidate counts and engine labels, constraint counts by
 Hard/Soft x Local/Global class, fallback and retry activations, per-stage
 wall time, and cost-model component sums.
 

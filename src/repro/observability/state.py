@@ -76,7 +76,6 @@ def configure(
     tracing: Optional[bool] = None,
     metrics: Optional[bool] = None,
     provenance: Optional[bool] = None,
-    detail: bool = False,
 ) -> None:
     """Install or remove backends.  ``None`` leaves a setting unchanged.
 
@@ -86,7 +85,7 @@ def configure(
     global _TRACER, _METRICS, _PROVENANCE
     with _LOCK:
         if tracing is not None:
-            _TRACER = Tracer(detail=detail) if tracing else NULL_TRACER
+            _TRACER = Tracer() if tracing else NULL_TRACER
         if metrics is not None:
             _METRICS = MetricsRegistry() if metrics else NULL_REGISTRY
         if provenance is not None:
@@ -154,16 +153,14 @@ def instrumented_stage(
 
 
 @contextmanager
-def capture(
-    detail: bool = False, provenance: bool = True
-) -> Iterator[Observation]:
+def capture(provenance: bool = True) -> Iterator[Observation]:
     """Run a block with fresh tracing + metrics, restoring the previous
     backends afterwards (exception-safe).  The CLI commands and the
     integration tests are built on this."""
     global _TRACER, _METRICS, _PROVENANCE
     with _LOCK:
         prev = (_TRACER, _METRICS, _PROVENANCE)
-        _TRACER = Tracer(detail=detail)
+        _TRACER = Tracer()
         _METRICS = MetricsRegistry()
         _PROVENANCE = provenance
         observation = Observation(tracer=_TRACER, metrics=_METRICS)

@@ -7,9 +7,9 @@ Every pipeline stage opens a span through a context manager::
         sp.set(candidates=result.candidates_total)
 
 Completed spans become ``ph: "X"`` (complete) events in the Chrome
-trace-event format; :meth:`Tracer.instant` emits ``ph: "i"`` markers
-(used for per-subtree prune events in detail mode).  The resulting JSON
-(:meth:`Tracer.to_chrome`) loads directly in Perfetto / ``chrome://tracing``.
+trace-event format; :meth:`Tracer.instant` emits ``ph: "i"`` markers.
+The resulting JSON (:meth:`Tracer.to_chrome`) loads directly in
+Perfetto / ``chrome://tracing``.
 
 Two backends share the interface:
 
@@ -97,7 +97,6 @@ class NullTracer:
     """Disabled backend: accepts the full tracer API, records nothing."""
 
     enabled = False
-    detail = False
 
     def span(self, name: str, cat: str = "pipeline", **args: Any) -> _NullSpan:
         return NULL_SPAN
@@ -180,16 +179,11 @@ class _Span:
 
 
 class Tracer:
-    """The recording backend.
-
-    ``detail=True`` additionally emits the high-volume per-subtree
-    search events (prune/visit instants); default traces stay compact.
-    """
+    """The recording backend."""
 
     enabled = True
 
-    def __init__(self, detail: bool = False) -> None:
-        self.detail = detail
+    def __init__(self) -> None:
         self._events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()

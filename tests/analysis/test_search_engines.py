@@ -1,14 +1,14 @@
 """Cross-engine byte-identity and engine-selection contract.
 
-The three search engines — the exhaustive reference, the pruned walk,
-and the vectorized batch engine — must pick the *byte-identical* winner
-for any input: same mapping, same exact score, same DOP, same candidate
-counts, and (under ``keep_all``) the same ranked candidate list in the
-same order.  These tests replay the checked-in difftest corpus plus a
-fresh generator sample through all three engines, then pin the
-auto-selection rules (small space -> plain loop, batch-capable -> the
-candidate matrix, opaque constraints -> reference fallback) and the
-``REPRO_SEARCH_ENGINE`` / ``engine=`` overrides.
+The two search engines — the exhaustive reference and the vectorized
+batch engine — must pick the *byte-identical* winner for any input:
+same mapping, same exact score, same DOP, same candidate counts, and
+(under ``keep_all``) the same ranked candidate list in the same order.
+These tests replay the checked-in difftest corpus plus a fresh
+generator sample through both engines and through ``search_mapping``,
+cover sizes past float and int64 precision, then pin the selection
+rule: a constraint set whose members all have batch predicates runs
+the vectorized engine, any other set the reference fallback.
 """
 
 import os
@@ -16,24 +16,20 @@ import random
 
 import pytest
 
-from repro.analysis import analyze_program, clear_caches
+from repro.analysis import analyze_program
 from repro.analysis.constraints import Constraint, ConstraintSet, CoalesceDimX
-from repro.analysis.search import (
-    count_candidates,
-    resolve_engine,
-    search_mapping,
-    search_mapping_reference,
-)
+from repro.analysis.search import search_mapping, search_mapping_reference
 from repro.analysis.vectorized import (
     BatchUnsupported,
     search_mapping_vectorized,
 )
-from repro.config import SEARCH_ENGINE_ENV, SEARCH_SMALL_SPACE_CANDIDATES
+from repro.apps import ALL_APPS
 from repro.difftest import ProgramGenerator, load_corpus
 from repro.difftest.generator import build_program
 from repro.errors import SearchError
 
 from .test_search_equivalence import GRID_BY_DEPTH, random_cset
+from .test_search_guard import depth4_program
 
 CORPUS_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "integration", "corpus",
@@ -65,14 +61,13 @@ def _check_kernel_across_engines(ka, context):
     # degrade.
     vec = search_mapping_vectorized(*args, keep_all=True)
     _assert_byte_identical(ref, vec, f"{context} [vectorized]")
-    pruned = search_mapping(
-        *args, keep_all=True, use_cache=False, engine="pruned"
-    )
-    _assert_byte_identical(ref, pruned, f"{context} [pruned]")
+    staged = search_mapping(*args, keep_all=True, use_cache=False)
+    assert staged.strategy == "vectorized", context
+    _assert_byte_identical(ref, staged, f"{context} [search_mapping]")
 
 
 def test_difftest_corpus_byte_identity():
-    """All three engines agree on every checked-in corpus kernel."""
+    """Both engines agree on every checked-in corpus kernel."""
     specs = load_corpus(CORPUS_PATH)
     assert len(specs) >= 20
     checked = 0
@@ -103,16 +98,46 @@ def test_generator_sample_byte_identity():
             checked += 1
 
 
+#: Sizes past float and int64 precision, per depth: 2**53 + 1 (the
+#: first integer a float cannot hold), DOP products of at least 2**62
+#: (past the int64 packed key) and one level of at least 2**63 (past
+#: int64 itself).
+LARGE_SIZES = {
+    1: [[2**53 + 1], [2**62], [2**63 + 5]],
+    2: [[2**53 + 1, 7], [2**31, 2**31], [2**63, 100]],
+    3: [[2**53 + 1, 32, 3], [2**21, 2**21, 2**21], [7, 2**64 + 1, 1]],
+    4: [[2**53 + 1, 1, 7, 32], [2**16] * 4, [2**63, 4096, 2**53 + 1, 7]],
+}
+
+
+def _feasible_cset(rng: random.Random, depth: int) -> ConstraintSet:
+    """A random set whose hard Span(all) levels all exist in the nest,
+    so some candidate satisfies it."""
+    while True:
+        cset = random_cset(rng, depth)
+        if all(c.level < depth for c in cset.hard):
+            return cset
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_randomized_vectorized_equivalence(depth):
     """Randomized constraint sets: vectorized == reference, bit for bit."""
     rng = random.Random(97 * depth)
     grid = GRID_BY_DEPTH[depth]
-    for trial in range(6 if depth <= 2 else 3):
-        cset = random_cset(rng, depth)
-        sizes = [rng.choice([1, 7, 32, 100, 4096]) for _ in range(depth)]
+    trials = 6 if depth <= 2 else 3
+    large = LARGE_SIZES[depth]
+    for trial in range(trials + len(large)):
+        if trial < trials:
+            cset = random_cset(rng, depth)
+            sizes = [rng.choice([1, 7, 32, 100, 4096]) for _ in range(depth)]
+            keep = trial % 2 == 0
+        else:
+            # Inexact DOPs would show in the keep_all list, so large
+            # sizes always keep it, over a set some candidate satisfies.
+            cset = _feasible_cset(rng, depth)
+            sizes = large[trial - trials]
+            keep = True
         tie_seed = rng.randint(0, 10_000)
-        keep = trial % 2 == 0
         context = f"depth={depth} trial={trial} sizes={sizes}"
         try:
             ref = search_mapping_reference(
@@ -149,7 +174,37 @@ def test_depth5_coarse_grid_equivalence():
     _assert_byte_identical(ref, vec, "depth-5 coarse grid")
 
 
+#: Kernels whose DOP products overflow int64: sumRows at R = C = 2**31
+#: (2**62) and the depth-4 batched kernel at 2**31 per level (2**124).
+OVERFLOW_PROGRAMS = {
+    "sumRows": lambda: analyze_program(
+        ALL_APPS["sumRows"].build(), R=2**31, C=2**31
+    ),
+    "batched-depth4": lambda: analyze_program(
+        depth4_program(), B=2**31, P=2**31, K=2**31, D=2**31
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_PROGRAMS))
+def test_overflowing_dop_runs_vectorized(name):
+    """Past int64 the batch engine still runs, exact to the reference."""
+    ka = OVERFLOW_PROGRAMS[name]().kernel(0)
+    args = (ka.depth, ka.constraints, ka.level_sizes())
+    ref = search_mapping_reference(*args, keep_all=True)
+    result = search_mapping(*args, keep_all=True, use_cache=False)
+    assert result.strategy == "vectorized"
+    _assert_byte_identical(ref, result, name)
+
+
 # -- engine selection ------------------------------------------------------
+
+
+class _Opaque(Constraint):
+    """A constraint without a batch predicate."""
+
+    def satisfied_by(self, mapping, level_sizes):
+        return True
 
 
 def _small_space_inputs():
@@ -164,75 +219,39 @@ def _large_space_inputs():
     return 3, cset, (64, 64, 4096)
 
 
-def test_auto_selects_exhaustive_for_small_spaces():
-    depth, cset, sizes = _small_space_inputs()
-    assert count_candidates(depth, cset) <= SEARCH_SMALL_SPACE_CANDIDATES
-    result = search_mapping(depth, cset, sizes, use_cache=False)
-    assert result.strategy == "exhaustive"
-    assert result.batch_shape is None
+def test_engine_follows_constraint_set():
+    """Batch predicates on every constraint -> vectorized, whatever the
+    size of the space; any constraint without one -> reference-fallback."""
+    for depth, cset, sizes in (_small_space_inputs(), _large_space_inputs()):
+        result = search_mapping(depth, cset, sizes, use_cache=False)
+        assert result.strategy == "vectorized"
+        assert result.batch_shape == (result.candidates_total, depth)
+        cset.add(_Opaque(False, "global", "opaque"))
+        result = search_mapping(depth, cset, sizes, use_cache=False)
+        assert result.strategy == "reference-fallback"
+        assert result.batch_shape is None
 
 
 def test_auto_selects_vectorized_for_large_spaces():
     depth, cset, sizes = _large_space_inputs()
-    assert count_candidates(depth, cset) > SEARCH_SMALL_SPACE_CANDIDATES
     result = search_mapping(depth, cset, sizes, use_cache=False)
     assert result.strategy == "vectorized"
     assert result.batch_shape == (result.candidates_total, depth)
 
 
-def test_env_var_overrides_auto(monkeypatch):
-    depth, cset, sizes = _large_space_inputs()
-    monkeypatch.setenv(SEARCH_ENGINE_ENV, "pruned")
-    result = search_mapping(depth, cset, sizes, use_cache=False)
-    assert result.strategy == "pruned"
-    # An explicit engine= beats the environment.
-    result = search_mapping(
-        depth, cset, sizes, use_cache=False, engine="vectorized"
-    )
-    assert result.strategy == "vectorized"
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(SearchError, match="engine"):
-        resolve_engine("quantum")
-    depth, cset, sizes = _small_space_inputs()
-    with pytest.raises(SearchError, match="engine"):
-        search_mapping(depth, cset, sizes, engine="quantum")
-
-
 def test_opaque_constraint_falls_back():
     """A constraint without a batch predicate degrades, never errors."""
-
-    class Opaque(Constraint):
-        def satisfied_by(self, mapping, level_sizes):
-            return True
-
     depth, cset, sizes = _large_space_inputs()
-    cset.add(Opaque(False, "global", "opaque"))
+    cset.add(_Opaque(False, "global", "opaque"))
     with pytest.raises(BatchUnsupported):
         search_mapping_vectorized(depth, cset, sizes)
-    # Forcing the batch engine falls through to the reference walk
-    # (opaque constraints need per-candidate evaluation).
-    result = search_mapping(
-        depth, cset, sizes, use_cache=False, engine="vectorized"
-    )
-    assert result.strategy == "reference-fallback"
+    # Opaque constraints need per-candidate evaluation: the search runs
+    # the exhaustive loop, byte-identical to the reference.
     result = search_mapping(depth, cset, sizes, use_cache=False)
     assert result.strategy == "reference-fallback"
-
-
-def test_engine_is_part_of_cache_key():
-    depth, cset, sizes = _large_space_inputs()
-    clear_caches()
-    vec = search_mapping(depth, cset, sizes, engine="vectorized")
-    pruned = search_mapping(depth, cset, sizes, engine="pruned")
-    # Same winner, distinct memo entries: the pruned request must not be
-    # served the vectorized result's telemetry.
-    assert not pruned.cache_hit
-    assert pruned.strategy == "pruned"
-    again = search_mapping(depth, cset, sizes, engine="vectorized")
-    assert again.cache_hit and again.strategy == "vectorized"
-    assert str(vec.mapping) == str(pruned.mapping)
+    ref = search_mapping_reference(depth, cset, sizes)
+    assert str(result.mapping) == str(ref.mapping)
+    assert result.score == ref.score
 
 
 def test_batch_telemetry_recorded():
@@ -241,8 +260,7 @@ def test_batch_telemetry_recorded():
 
     depth, cset, sizes = _large_space_inputs()
     with capture() as obs:
-        result = search_mapping(depth, cset, sizes, use_cache=False,
-                                engine="vectorized")
+        result = search_mapping(depth, cset, sizes, use_cache=False)
     data = result.telemetry()
     assert data["strategy"] == "vectorized"
     assert data["batch_shape"] == [result.candidates_total, depth]

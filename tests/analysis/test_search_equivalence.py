@@ -1,12 +1,12 @@
 """Equivalence of the staged search against the exhaustive reference.
 
-The pruned walk, the tables, and the memo are pure performance work: for
-any constraint set they must select the *byte-identical* winner — same
+The vectorized engine and the memo are pure performance work: for any
+constraint set they must select the *byte-identical* winner — same
 mapping, same score, same DOP, same candidate counts — because the
 figure experiments and codegen snapshots depend on the exact choice
-(including the seeded tie-breaks).  These tests compare the two
-implementations across randomized constraint sets at depths 1-4 and over
-every bundled application kernel.
+(including the seeded tie-breaks).  These tests compare
+``search_mapping`` against the reference across randomized constraint
+sets at depths 1-4 and over every bundled application kernel.
 """
 
 import random
@@ -22,11 +22,14 @@ from repro.analysis.constraints import (
     NoWastedThreads,
     SpanAllRequired,
 )
-from repro.analysis.mapping import DIM_MAX_THREADS, Dim, Mapping
-from repro.analysis.search import search_mapping, search_mapping_reference
-from repro.analysis.tables import ConstraintTables
+from repro.analysis.search import (
+    enumerate_candidates,
+    search_mapping,
+    search_mapping_reference,
+)
+from repro.analysis.vectorized import materialize_candidates
 from repro.apps import ALL_APPS, merge_params
-from repro.config import MAX_BLOCK_SIZE, WARP_SIZE
+from repro.config import WARP_SIZE
 from repro.errors import SearchError
 
 #: Smaller grids keep the exhaustive oracle fast at depth >= 3.
@@ -164,36 +167,21 @@ def test_cached_result_identical():
 
 
 def test_warp_eval_matches_mapping():
-    """The tables' warp model must agree with Mapping.varies_within_warp."""
+    """The batch warp model must agree with Mapping.varies_within_warp."""
     depth = 3
-    cset = ConstraintSet()
-    cset.add(AvoidDivergence(
-        False, "global", "divergence", levels=(0, 1, 2), weight=1.0,
-    ))
-    sizes = (64, 64, 64)
     grid = (1, 2, 8, 32, 256)
-    tables = ConstraintTables.build(cset, depth, sizes, grid)
-    import itertools
-
-    for dim_perm in itertools.permutations(list(Dim)[:depth], depth):
-        for bsizes in itertools.product(grid, repeat=depth):
-            if any(s > DIM_MAX_THREADS[d] for d, s in zip(dim_perm, bsizes)):
-                continue
-            product = 1
-            for s in bsizes:
-                product *= s
-            if product > MAX_BLOCK_SIZE:
-                continue
-            from repro.analysis.mapping import LevelMapping, Span
-
-            mapping = Mapping(tuple(
-                LevelMapping(d, s, Span(1))
-                for d, s in zip(dim_perm, bsizes)
-            ))
-            expected = not any(
-                mapping.varies_within_warp(level, WARP_SIZE)
-                for level in range(depth)
-            )
-            ok, weights = tables.warp_eval(dim_perm, list(bsizes))
-            assert ok
-            assert (sum(weights) > 0) == expected, (dim_perm, bsizes)
+    batch, _ = materialize_candidates(
+        depth, ConstraintSet(), grid, (64, 64, 64)
+    )
+    varies = [batch.warp_varies(level) for level in range(depth)]
+    rows = 0
+    # Batch rows follow the reference enumeration order.
+    for row, mapping in enumerate(
+        enumerate_candidates(depth, ConstraintSet(), grid)
+    ):
+        for level in range(depth):
+            assert bool(varies[level][row]) == mapping.varies_within_warp(
+                level, WARP_SIZE
+            ), (str(mapping), level)
+        rows += 1
+    assert rows == len(batch)

@@ -34,7 +34,7 @@ class TestBuildProvenance:
         assert kernel.mapping == str(compiled.decisions[0].mapping)
         assert kernel.search is not None
         assert kernel.search["strategy"] in (
-            "vectorized", "pruned", "exhaustive", "reference-fallback"
+            "vectorized", "reference-fallback"
         )
         assert kernel.verdicts
         # The chosen mapping satisfies every hard constraint.
@@ -103,7 +103,7 @@ class TestSerialization:
         kernel = KernelProvenance(
             index=0, depth=2, level_sizes=[8, 8],
             mapping="L0[dimx, 32, span(1)]", score=1.5, max_score=2.0,
-            dop=64, search={"strategy": "pruned"},
+            dop=64, search={"strategy": "vectorized"},
             verdicts=[VerdictRecord("c", True, "local", True)],
         )
         assert KernelProvenance.from_dict(kernel.to_dict()) == kernel

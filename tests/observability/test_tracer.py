@@ -140,7 +140,6 @@ class TestNullBackend:
 
     def test_disabled_flags(self):
         assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.detail is False
         assert Tracer().enabled is True
 
 

@@ -105,32 +105,6 @@ class TestObservabilityCli:
         assert main(["trace", "sumcols", "-o", str(target)]) == 0
         assert target.exists()
 
-    def test_trace_detail_adds_search_events(self, tmp_path):
-        import json
-
-        from repro.analysis.cache import clear_caches
-
-        compact = tmp_path / "compact.json"
-        detail = tmp_path / "detail.json"
-        # A warm memo would skip the tree walk (no per-subtree events to
-        # emit), so both runs start from a cold cache.
-        clear_caches()
-        assert main(["trace", "sumCols", "R=64", "C=64",
-                     "-o", str(compact)]) == 0
-        clear_caches()
-        assert main(["trace", "sumCols", "R=64", "C=64", "--detail",
-                     "-o", str(detail)]) == 0
-        with open(compact) as handle:
-            compact_names = {
-                e["name"] for e in json.load(handle)["traceEvents"]
-            }
-        with open(detail) as handle:
-            detail_names = {
-                e["name"] for e in json.load(handle)["traceEvents"]
-            }
-        assert "search.visit" in detail_names
-        assert "search.visit" not in compact_names
-
     def test_trace_writes_provenance_artifact(self, tmp_path, capsys):
         from repro.observability.provenance import load_provenance
 
