@@ -60,15 +60,18 @@ def test_bench_cost_model(benchmark):
 
 
 def test_bench_codegen(benchmark):
-    """CUDA generation for a two-kernel program."""
-    from repro.codegen import compile_program
+    """CUDA generation for a two-kernel program (codegen alone: analysis
+    and mappings come from one session compile)."""
     from repro.apps.gaussian import build_gaussian
+    from repro.codegen import compile_program
+    from repro.runtime.session import GpuSession
 
-    program = build_gaussian("R")
+    compiled = GpuSession().compile(build_gaussian("R"), N=2048, T=0)
     module = benchmark(
-        compile_program, program, "multidim", N=2048, T=0
+        compile_program, compiled.analysis, compiled.mappings()
     )
     assert len(module.kernels) == 2
+    assert module.source == compiled.module.source
 
 
 def test_bench_interpreter_vectorized(benchmark):

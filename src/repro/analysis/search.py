@@ -14,6 +14,12 @@ seeded reservoir sample over the tied candidates (the paper picks
 randomly; seeding keeps runs reproducible, and reservoir sampling keeps
 the pick uniform however many candidates tie).
 
+Every result also carries ``ranked``: the top :data:`RANKED_CANDIDATES`
+feasible candidates before ControlDOP, ordered by
+:func:`ranking_key` (score, DOP, larger block sizes) and then by
+enumeration order.  Provenance records read it instead of searching
+again.
+
 Two engines share that contract:
 
 * :func:`search_mapping_reference` — the exhaustive loop.  It
@@ -40,12 +46,13 @@ sampler at the same position and consumes the same random draws.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import BLOCK_SIZE_CANDIDATES, MAX_BLOCK_SIZE, TIE_BREAK_SEED
 from ..errors import ReproError, SearchError
@@ -68,8 +75,24 @@ from .mapping import (
 from .scoring import ScoredMapping, hard_feasible, score_mapping
 
 
+#: How many ranked candidates every search result carries.
+RANKED_CANDIDATES = 5
+
+
 class _BudgetStop(Exception):
     """Internal: unwinds the candidate walk when the budget runs out."""
+
+
+def ranking_key(scored: ScoredMapping) -> tuple:
+    """Sort key of :attr:`SearchResult.ranked`: higher score, then higher
+    DOP, then lexicographically larger block sizes (the deterministic
+    part of the tie-break chain).  Sorts stably, so candidates tying on
+    all three stay in enumeration order."""
+    return (
+        -scored.score,
+        -scored.dop,
+        tuple(-lm.block_size for lm in scored.mapping.levels),
+    )
 
 
 @dataclass
@@ -88,6 +111,10 @@ class SearchResult:
     #: Every feasible candidate with its score (populated only when
     #: ``keep_all=True``; used by the Fig. 17 scatter experiment).
     all_scored: List[ScoredMapping] = field(default_factory=list)
+    #: The top :data:`RANKED_CANDIDATES` feasible candidates before
+    #: ControlDOP, in :func:`ranking_key` order then enumeration order
+    #: (empty for a degraded result).
+    ranked: List[ScoredMapping] = field(default_factory=list)
     # -- search telemetry ------------------------------------------------
     #: Candidates whose score was individually evaluated.
     candidates_scored: int = 0
@@ -259,6 +286,7 @@ def _finish(
     total: int,
     feasible: int,
     all_scored: List[ScoredMapping],
+    ranked: List[ScoredMapping],
     strategy: str,
 ) -> SearchResult:
     """Apply ControlDOP to the winner and assemble the result (both
@@ -273,6 +301,7 @@ def _finish(
         candidates_total=total,
         candidates_feasible=feasible,
         all_scored=all_scored,
+        ranked=ranked,
         candidates_scored=total,
         strategy=strategy,
     )
@@ -291,31 +320,35 @@ def _search_exhaustive(
 ) -> SearchResult:
     """The brute-force loop (shared by the reference entry point and the
     fallback for constraints without a batch predicate)."""
-    rng = random.Random(seed)
-    inc = _Incumbent(rng)
-    total = 0
-    feasible = 0
+    inc = _Incumbent(random.Random(seed))
+    total = feasible = 0
+
+    def scored() -> Iterator[ScoredMapping]:
+        nonlocal total, feasible
+        for mapping in enumerate_candidates(num_levels, cset, block_sizes):
+            if budget is not None and not budget.spend():
+                raise _BudgetStop()
+            total += 1
+            score = score_mapping(mapping, cset, sizes_t)
+            if score is None:
+                continue
+            feasible += 1
+            dop = mapping.dop(sizes_t)
+            if inc.decide(
+                score, dop, tuple(lm.block_size for lm in mapping.levels)
+            ):
+                inc.mapping = mapping
+            yield ScoredMapping(mapping, score, dop)
+
+    candidates: Iterable[ScoredMapping] = scored()
     all_scored: List[ScoredMapping] = []
-
-    for mapping in enumerate_candidates(num_levels, cset, block_sizes):
-        if budget is not None and not budget.spend():
-            raise _BudgetStop()
-        total += 1
-        score = score_mapping(mapping, cset, sizes_t)
-        if score is None:
-            continue
-        feasible += 1
-        dop = mapping.dop(sizes_t)
-        if keep_all:
-            all_scored.append(ScoredMapping(mapping, score, dop))
-        if inc.decide(
-            score, dop, tuple(lm.block_size for lm in mapping.levels)
-        ):
-            inc.mapping = mapping
-
+    if keep_all:
+        all_scored = candidates = list(candidates)
+    # Bounded and stable: ties on the key keep enumeration order.
+    ranked = heapq.nsmallest(RANKED_CANDIDATES, candidates, key=ranking_key)
     return _finish(
         inc.mapping, inc.score, cset, sizes_t, window, total, feasible,
-        all_scored, strategy,
+        all_scored, ranked, strategy,
     )
 
 

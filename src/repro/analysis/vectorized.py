@@ -29,7 +29,8 @@ Byte-identical contract
 
 The engine must reproduce :func:`~repro.analysis.search.search_mapping_reference`
 bit for bit — mapping, score, DOP, candidate counts, ``all_scored``
-ordering, and the seeded tie-break.  Four mechanisms carry that:
+ordering, the ``ranked`` top candidates, and the seeded tie-break.
+Four mechanisms carry that:
 
 * **Enumeration order.**  Rows are materialized in the reference's exact
   enumeration order (dimension permutations outermost, then the
@@ -50,7 +51,9 @@ ordering, and the seeded tie-break.  Four mechanisms carry that:
   a candidate's key equals the running maximum.  Draws before the final
   maximum's first appearance are skipped in bulk; only the final tie
   pool — typically a handful of candidates — replays its draws one by
-  one.
+  one.  The same keys give ``ranked``: a partition finds the fifth
+  largest key, and a stable sort of the few survivors orders them as
+  the reference's stable top 5 does.
 * **Exact DOP past int64.**  DOP products are compared as int64 while
   the worst-case product fits.  Beyond that the DOP table is built in
   Python ints and rank-coded into the packed key (ranks order the
@@ -95,7 +98,7 @@ from .mapping import (
     span_code,
 )
 from .scoring import ScoredMapping
-from .search import span_options_for_levels
+from .search import RANKED_CANDIDATES, span_options_for_levels
 
 #: int64 head-room bound for exact DOP / packed-key comparison; above
 #: this the DOP table switches to Python ints rather than risk silent
@@ -698,6 +701,25 @@ def _replay_reservoir(keys: np.ndarray, seed: int) -> int:
     return winner
 
 
+def _top_positions(keys: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the ``count`` largest keys, largest first.
+
+    Equal keys keep enumeration (position) order, so the result is
+    :attr:`SearchResult.ranked`'s order: a partition finds the
+    ``count``-th largest key, the survivors are every larger key plus
+    the first equal ones, and only they are sorted (stably).
+    """
+    n = keys.shape[0]
+    if n > count:
+        threshold = np.partition(keys, n - count)[n - count]
+        above = np.nonzero(keys > threshold)[0]
+        tied = np.nonzero(keys == threshold)[0][: count - above.shape[0]]
+        survivors = np.concatenate([above, tied])
+    else:
+        survivors = np.arange(n)
+    return survivors[np.argsort(-keys[survivors], kind="stable")]
+
+
 def _hard_feasible_rows(
     cset: ConstraintSet,
     batch: CandidateBatch,
@@ -783,12 +805,12 @@ def _mapping_for_row(
     row: int, batch: CandidateBatch, span_combos: List[Tuple]
 ) -> Mapping:
     base_row, combo_row = divmod(row, batch.span_tile)
-    perm = batch.perm_table[batch.base_perm_ids[base_row]]
-    sizes = batch.grid_table[batch.base_size_ids[base_row]]
+    perm = batch.perm_table[batch.base_perm_ids[base_row]].tolist()
+    sizes = batch.grid_table[batch.base_size_ids[base_row]].tolist()
     spans = span_combos[combo_row]
     return Mapping(
         tuple(
-            LevelMapping(Dim(int(dim)), int(size), span)
+            LevelMapping(Dim(dim), size, span)
             for dim, size, span in zip(perm, sizes, spans)
         )
     )
@@ -970,40 +992,31 @@ def _search_vectorized(
             code_bound,
         )
 
-    winner = _replay_reservoir(keys, seed)
-    winner_row = (
-        winner if feasible_rows is None else int(feasible_rows[winner])
-    )
+    dop_flat = dop_exact.reshape(-1)
+
+    def scored_at(pos: int) -> ScoredMapping:
+        """The feasible candidate at position ``pos`` of ``keys``."""
+        row = pos if feasible_rows is None else int(feasible_rows[pos])
+        base_row, combo_row = divmod(row, tile)
+        if state is None:
+            score = float(state_scores[state_b[base_row]])
+        else:
+            score = float(state_scores[state[pos]])
+        dop = int(dop_flat[batch.base_size_ids[base_row] * tile + combo_row])
+        return ScoredMapping(
+            _mapping_for_row(row, batch, span_combos), score, dop
+        )
 
     all_scored: List[ScoredMapping] = []
     if keep_all:
-        rows_iter = (
-            range(total) if feasible_rows is None else feasible_rows
-        )
-        dop_flat = dop_exact.reshape(-1)
-        for pos, row in enumerate(rows_iter):
-            row = int(row)
-            base_row, combo_row = divmod(row, tile)
-            if state is None:
-                score = float(state_scores[state_b[base_row]])
-            else:
-                score = float(state_scores[state[pos]])
-            dop = int(
-                dop_flat[batch.base_size_ids[base_row] * tile + combo_row]
-            )
-            all_scored.append(
-                ScoredMapping(
-                    _mapping_for_row(row, batch, span_combos), score, dop
-                )
-            )
-
-    if state is None:
-        winner_score = float(state_scores[state_b[winner_row // tile]])
-    else:
-        winner_score = float(state_scores[state[winner]])
+        all_scored = [scored_at(pos) for pos in range(n_feas)]
+    ranked = [
+        scored_at(int(pos)) for pos in _top_positions(keys, RANKED_CANDIDATES)
+    ]
+    winner = scored_at(_replay_reservoir(keys, seed))
     result = _finish(
-        _mapping_for_row(winner_row, batch, span_combos), winner_score,
-        cset, sizes_t, window, total, n_feas, all_scored, "vectorized",
+        winner.mapping, winner.score, cset, sizes_t, window, total, n_feas,
+        all_scored, ranked, "vectorized",
     )
     result.batch_shape = (total, num_levels)
     return result

@@ -157,13 +157,15 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_cuda(args: argparse.Namespace) -> int:
-    from repro.codegen import compile_program, generate_host_driver
-
     from repro.apps import merge_params
+    from repro.codegen import generate_host_driver
+    from repro.runtime import GpuSession
 
     app = _resolve_app(args.app)
     sizes = merge_params(app, _parse_sizes(args.sizes))
-    module = compile_program(app.build(), args.strategy, **sizes)
+    module = GpuSession(strategy=args.strategy).compile(
+        app.build(), **sizes
+    ).module
     source = (
         generate_host_driver(module, sizes) if args.host else module.source
     )
@@ -482,7 +484,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         deadline_s=args.deadline_s if args.deadline_s > 0 else None,
         max_nodes=args.max_nodes,
-        provenance=not args.no_provenance,
     )
     with capture() as obs:
         service = CompileService(config)
@@ -632,8 +633,6 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
             extra = ["--queue-limit", str(args.queue_limit)]
             if args.deadline_s > 0:
                 extra += ["--deadline-s", str(args.deadline_s)]
-            if args.no_provenance:
-                extra.append("--no-provenance")
             router = spawn_http_fleet(
                 args.backends,
                 cache_dir,
@@ -650,7 +649,6 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 queue_limit=args.queue_limit,
                 deadline_s=args.deadline_s if args.deadline_s > 0 else None,
-                provenance=not args.no_provenance,
             )
         server = make_server(router, args.host, args.port)
 
@@ -1455,8 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
                       f"(default {_config.DEFAULT_REQUEST_DEADLINE_S})")
     p_sv.add_argument("--max-nodes", type=int, default=None,
                       help="per-request search node budget")
-    p_sv.add_argument("--no-provenance", action="store_true",
-                      help="skip storing mapping provenance in artifacts")
     p_sv.add_argument("--trace", default=None, metavar="FILE",
                       help="write a Chrome trace of every request on "
                       "shutdown")
@@ -1610,7 +1606,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background health-probe cadence driving "
                        "the per-backend circuit breakers; <=0 disables "
                        f"(default {_config.DEFAULT_FLEET_PROBE_INTERVAL_S})")
-    fl_sv.add_argument("--no-provenance", action="store_true")
     fl_sv.add_argument("--subprocess", action="store_true",
                        help="run each backend as its own `repro serve` "
                        "process (deployment shape: real sockets, "

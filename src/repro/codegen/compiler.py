@@ -1,22 +1,23 @@
-"""Program-level compiler: IR -> analyzed, mapped, generated CUDA module.
+"""Program-level compiler: analyzed, mapped program -> generated CUDA module.
 
 One kernel is generated per outermost pattern (the paper's one-to-one
-mapping), each with its own mapping decision.  The module also carries the
-device-function preamble and, for ``Split(k)`` mappings, combiner kernels.
+mapping), each from the mapping the session decided for it.  The module
+also carries the device-function preamble and, for ``Split(k)``
+mappings, combiner kernels.  Codegen neither analyzes nor maps: it reads
+the session's :class:`~repro.analysis.analyzer.ProgramAnalysis`, so the
+generated module always matches the launch decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence
 
-from ..analysis.analyzer import analyze_program
+from ..analysis.analyzer import ProgramAnalysis
 from ..analysis.mapping import Mapping
 from ..errors import CodegenError
 from ..ir.patterns import Program
 from .kernels import CompiledKernel, KernelGenerator, device_function_preamble
-
-Strategy = Union[str, Mapping]
 
 
 @dataclass
@@ -39,57 +40,41 @@ class CompiledModule:
 
 
 def compile_program(
-    program: Program,
-    strategy: Strategy = "multidim",
-    device=None,
+    analysis: ProgramAnalysis,
+    mappings: Sequence[Mapping],
     prealloc: bool = True,
-    layout_strides: Optional[Dict[str, Tuple[str, ...]]] = None,
-    mappings: Optional[Sequence] = None,
-    **sizes: int,
 ) -> CompiledModule:
-    """Analyze, map, and generate CUDA for every kernel of a program.
+    """Generate CUDA for every kernel of an analyzed program.
 
-    ``mappings`` (one per kernel, in analysis order) bypasses the mapping
-    decision: the session passes its already-decided — possibly degraded —
-    mappings so the generated module always matches the launch decisions.
+    ``mappings`` holds one mapping per kernel, in analysis order — the
+    session passes its decided (possibly degraded) mappings.
     """
-    from ..gpusim.device import default_device
-    from ..gpusim.simulator import decide_mapping
     from ..observability import get_tracer, instrumented_stage
 
+    program = analysis.program
     tracer = get_tracer()
     with instrumented_stage("codegen", program=program.name) as scope:
-        span = scope.span
-        if device is None:
-            device = default_device()
-        pa = analyze_program(program, **sizes)
-        if mappings is not None and len(mappings) != len(pa.kernels):
+        if len(mappings) != len(analysis.kernels):
             raise CodegenError(
-                f"expected {len(pa.kernels)} mappings, got {len(mappings)}"
+                f"expected {len(analysis.kernels)} mappings, "
+                f"got {len(mappings)}"
             )
         module = CompiledModule(program=program)
         preambles = []
-        for index, ka in enumerate(pa.kernels):
-            if mappings is not None:
-                mapping = mappings[index]
-            else:
-                mapping = decide_mapping(ka, strategy, device).mapping
+        for index, (ka, mapping) in enumerate(
+            zip(analysis.kernels, mappings)
+        ):
             name = f"{_sanitize(program.name)}_kernel{index}"
             with tracer.span("codegen.kernel", kernel=name):
                 generator = KernelGenerator(
-                    ka,
-                    mapping,
-                    program,
-                    kernel_name=name,
-                    prealloc=prealloc,
-                    layout_strides=layout_strides,
+                    ka, mapping, program, kernel_name=name, prealloc=prealloc
                 )
                 module.kernels.append(generator.generate())
             preamble = device_function_preamble(ka.root)
             if preamble and preamble not in preambles:
                 preambles.append(preamble)
         module.preamble = "\n".join(preambles)
-        span.set(kernels=len(module.kernels))
+        scope.span.set(kernels=len(module.kernels))
         return module
 
 

@@ -119,14 +119,12 @@ class KernelGenerator:
         program: Program,
         kernel_name: str = "kernel",
         prealloc: bool = True,
-        layout_strides: Optional[Dict[str, Tuple[str, ...]]] = None,
     ):
         self.analysis = analysis
         self.mapping = mapping
         self.program = program
         self.kernel_name = kernel_name
         self.prealloc = prealloc
-        self.layout_strides = layout_strides or {}
         self.ctx = CodegenContext()
         self.w = SourceWriter()
         self.params: List[Tuple[str, str]] = []
@@ -408,14 +406,12 @@ class KernelGenerator:
         if self.prealloc:
             if not any(p_name == buf for _, p_name in self.params):
                 self.params.append((f"{elem}*", buf))
-            strides = self.layout_strides.get(name)
-            if strides is None:
-                # Canonical layout: [outer..., inner] row-major.
-                extents = [
-                    lower_expr(p.size, self.ctx)
-                    for p in self._enclosing_patterns(level)
-                ] + [size_src]
-                strides = _row_major_strides(extents)
+            # Canonical layout: [outer..., inner] row-major.
+            extents = [
+                lower_expr(p.size, self.ctx)
+                for p in self._enclosing_patterns(level)
+            ] + [size_src]
+            strides = _row_major_strides(extents)
             offset_terms = [
                 f"{idx} * {stride}"
                 for idx, stride in zip(outer_names, strides[: len(outer_names)])

@@ -47,10 +47,10 @@ def table1_patterns(device: Optional[GpuDevice] = None) -> ExperimentResult:
     """
     import numpy as np
 
-    from ..codegen.compiler import compile_program
     from ..interp.evaluator import run_program
     from ..ir.builder import Builder, store
     from ..ir.types import F64, I64
+    from ..runtime.session import GpuSession
 
     device = device or default_device()
     rng = np.random.default_rng(0)
@@ -60,7 +60,7 @@ def table1_patterns(device: Optional[GpuDevice] = None) -> ExperimentResult:
     def sample(name, build, inputs, describe_result):
         program = build()
         out = run_program(program, **inputs)
-        source = compile_program(program, "multidim", N=64).source
+        source = GpuSession(device).compile(program, N=64).module.source
         return {
             "pattern": name,
             "example": program.name,

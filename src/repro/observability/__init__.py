@@ -1,6 +1,7 @@
 """Pipeline-wide observability: tracing, metrics, and mapping provenance.
 
-Three instruments, one enablement story (:mod:`.state`):
+Three instruments; tracing and metrics share one enablement story
+(:mod:`.state`):
 
 * **tracer** (:mod:`.tracer`) — spans around every pipeline stage,
   exported as Chrome trace-event JSON (``repro trace <app>``, loadable in
@@ -10,13 +11,14 @@ Three instruments, one enablement story (:mod:`.state`):
   per-stage wall time, and cost-model component sums
   (``repro stats <app>``);
 * **provenance** (:mod:`.provenance`) — per-compile "why this mapping
-  won" records with ranked candidates and per-constraint verdicts
-  (``repro explain <artifact>``), imported lazily to keep this package
-  free of analysis-layer dependencies.
+  won" records with the deciding search's top 5 ranked candidates and
+  per-constraint verdicts (``repro explain <artifact>``), built on
+  request from the compile's own records and imported lazily to keep
+  this package free of analysis-layer dependencies.
 
-Disabled (the default), every instrumentation point hits a shared no-op
-backend; see ``docs/observability.md`` for the design and the measured
-overhead.
+Tracing and metrics are disabled by default: every instrumentation point
+then hits a shared no-op backend; see ``docs/observability.md`` for the
+design and the measured overhead.  Provenance has no switch.
 """
 
 from .aggregate import (  # noqa: F401
@@ -46,7 +48,6 @@ from .state import (  # noqa: F401
     get_tracer,
     instrumented_stage,
     metrics_enabled,
-    provenance_enabled,
     tracing_enabled,
 )
 from .stitch import (  # noqa: F401
@@ -93,7 +94,6 @@ __all__ = [
     "metrics_enabled",
     "new_span_id",
     "new_trace_id",
-    "provenance_enabled",
     "stitch_fragments",
     "tracing_enabled",
     "validate_chrome_trace",

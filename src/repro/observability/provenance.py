@@ -1,16 +1,17 @@
 """Mapping-provenance records: *why this mapping won*, as an artifact.
 
 A :class:`CompileProvenance` captures, for every kernel of a compile, the
-chosen mapping, the search telemetry, and the ranked top-k candidates
+chosen mapping, the search telemetry, and the top 5 ranked candidates
 with per-constraint verdicts and score deltas.  Serialized to JSON it
 lets ``repro explain <artifact>`` render the full rationale from a saved
 file instead of re-running the search.
 
-Building the record re-uses the keep-all search (memoized across calls,
-see :mod:`repro.analysis.cache`), so it is only constructed on demand —
-lazily through :meth:`~repro.runtime.session.CompiledProgram.provenance`,
-or eagerly per compile when ``REPRO_PROVENANCE`` /
-``configure(provenance=True)`` is set.
+The record is built from the compile's own records and runs no search:
+the candidates are the :attr:`~repro.analysis.search.SearchResult.ranked`
+list of the search that chose the mapping, so provenance always
+describes the decision the compile actually made.  It is built on first
+request through
+:meth:`~repro.runtime.session.CompiledProgram.provenance` and cached.
 
 This module is imported lazily by the session and the CLI (never from
 ``repro.observability.__init__``) so the tracer/metrics hot path stays
@@ -117,7 +118,7 @@ class KernelProvenance:
     search: Optional[Dict[str, Any]] = None
     #: Verdicts of the *chosen* (post-ControlDOP) mapping.
     verdicts: List[VerdictRecord] = field(default_factory=list)
-    #: Ranked top-k candidates from the search space.
+    #: The top 5 ranked candidates of the search that decided.
     candidates: List[CandidateRecord] = field(default_factory=list)
     note: str = ""
 
@@ -216,7 +217,7 @@ class CompileProvenance:
     degradations: List[str] = field(default_factory=list)
     kernels: List[KernelProvenance] = field(default_factory=list)
     #: Content digest of the transformation recipe that built the plans
-    #: (``None`` when no pipeline ran — fully degraded compiles).
+    #: (degraded kernels appear in it as marker entries).
     recipe_digest: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -301,20 +302,7 @@ def _verdicts(cset, mapping, sizes_t: Tuple[int, ...]) -> List[VerdictRecord]:
     ]
 
 
-def _candidate_rank_key(scored):
-    """Sort key matching the search's deterministic tie-break chain:
-    score, then DOP, then lexicographically larger block sizes."""
-    bsizes = tuple(lm.block_size for lm in scored.mapping.levels)
-    return (-scored.score, -scored.dop, tuple(-b for b in bsizes))
-
-
-def kernel_provenance(
-    decision,
-    index: int,
-    device,
-    strategy,
-    top_k: int = 5,
-) -> KernelProvenance:
+def kernel_provenance(decision, index: int, strategy) -> KernelProvenance:
     """Build the provenance record for one kernel decision."""
     from ..analysis.scoring import score_mapping
 
@@ -324,6 +312,7 @@ def kernel_provenance(
     score = decision.score
     if score is None:
         score = score_mapping(decision.mapping, cset, sizes_t)
+    search = decision.search
 
     record = KernelProvenance(
         index=index,
@@ -333,44 +322,38 @@ def kernel_provenance(
         score=score,
         max_score=cset.max_score(),
         dop=decision.mapping.dop(sizes_t),
-        search=(
-            decision.search.telemetry() if decision.search is not None
-            else None
-        ),
+        search=search.telemetry() if search is not None else None,
         verdicts=_verdicts(cset, decision.mapping, sizes_t),
     )
 
-    if decision.search is not None and decision.search.degraded:
-        record.note = (
-            "search degraded to the conservative fallback mapping; "
-            "candidate ranking unavailable "
-            f"({decision.search.degraded_reason})"
-        )
-        return record
     if strategy != "multidim":
         record.note = (
             f"fixed strategy {strategy!r}: mapping chosen structurally, "
             "no candidate search ran"
         )
         return record
-
-    try:
-        full = ka.select_mapping(window=device.dop_window(), keep_all=True)
-    except ReproError as exc:
+    if search is None:
         record.note = (
-            f"candidate ranking unavailable "
-            f"({type(exc).__name__}: {exc})"
+            "mapping search failed; the conservative fallback mapping was "
+            "substituted and no candidate ranking exists"
         )
         return record
-    ranked = sorted(full.all_scored, key=_candidate_rank_key)[:top_k]
-    best = ranked[0].score if ranked else (score or 0.0)
+    if search.degraded:
+        record.note = (
+            "search degraded to the conservative fallback mapping; "
+            "candidate ranking unavailable "
+            f"({search.degraded_reason})"
+        )
+        return record
+
+    ranked = search.ranked
     record.candidates = [
         CandidateRecord(
             rank=rank,
             mapping=str(sm.mapping),
             score=sm.score,
             dop=sm.dop,
-            score_delta=best - sm.score,
+            score_delta=ranked[0].score - sm.score,
             verdicts=_verdicts(cset, sm.mapping, sizes_t),
         )
         for rank, sm in enumerate(ranked, 1)
@@ -378,15 +361,8 @@ def kernel_provenance(
     return record
 
 
-def build_provenance(compiled, top_k: int = 5) -> CompileProvenance:
+def build_provenance(compiled) -> CompileProvenance:
     """Assemble the provenance record for a compiled program."""
-    recipe_digest = None
-    try:
-        recipe = compiled.recipe()
-    except Exception:
-        recipe = None  # provenance is best-effort diagnostics
-    if recipe is not None:
-        recipe_digest = recipe.content_digest()
     return CompileProvenance(
         program=compiled.program.name,
         device=compiled.device.name,
@@ -394,11 +370,8 @@ def build_provenance(compiled, top_k: int = 5) -> CompileProvenance:
         sizes=dict(compiled.size_hints),
         degradations=list(compiled.degradations),
         kernels=[
-            kernel_provenance(
-                decision, index, compiled.device, compiled.strategy,
-                top_k=top_k,
-            )
+            kernel_provenance(decision, index, compiled.strategy)
             for index, decision in enumerate(compiled.decisions)
         ],
-        recipe_digest=recipe_digest,
+        recipe_digest=compiled.recipe().content_digest(),
     )

@@ -10,9 +10,12 @@ Enablement, in precedence order:
 1. :func:`configure` / the :func:`capture` context manager (explicit API,
    used by the ``repro trace`` / ``repro stats`` commands and tests);
 2. environment variables read once at import:
-   ``REPRO_TRACE`` (tracing), ``REPRO_METRICS`` (metrics),
-   ``REPRO_PROVENANCE`` (eager provenance on every compile).  Any value
+   ``REPRO_TRACE`` (tracing) and ``REPRO_METRICS`` (metrics).  Any value
    other than ``""``/``0``/``false``/``no``/``off`` counts as on.
+
+Mapping provenance has no switch: a compile's record is built on first
+request from the compile's own search results
+(:meth:`~repro.runtime.session.CompiledProgram.provenance`).
 
 Call sites fetch the active backend per invocation
 (``get_tracer().span(...)``), so flipping the backends mid-process takes
@@ -46,7 +49,6 @@ _TRACER: TracerLike = (
 _METRICS: RegistryLike = (
     MetricsRegistry() if _env_truthy("REPRO_METRICS") else NULL_REGISTRY
 )
-_PROVENANCE: bool = _env_truthy("REPRO_PROVENANCE")
 
 
 def get_tracer() -> TracerLike:
@@ -67,29 +69,21 @@ def metrics_enabled() -> bool:
     return _METRICS.enabled
 
 
-def provenance_enabled() -> bool:
-    """Should every compile eagerly attach its provenance record?"""
-    return _PROVENANCE
-
-
 def configure(
     tracing: Optional[bool] = None,
     metrics: Optional[bool] = None,
-    provenance: Optional[bool] = None,
 ) -> None:
     """Install or remove backends.  ``None`` leaves a setting unchanged.
 
     Enabling tracing installs a *fresh* tracer (empty event list); use
     :func:`capture` when the previous backend must be restored.
     """
-    global _TRACER, _METRICS, _PROVENANCE
+    global _TRACER, _METRICS
     with _LOCK:
         if tracing is not None:
             _TRACER = Tracer() if tracing else NULL_TRACER
         if metrics is not None:
             _METRICS = MetricsRegistry() if metrics else NULL_REGISTRY
-        if provenance is not None:
-            _PROVENANCE = provenance
 
 
 @dataclass
@@ -153,19 +147,18 @@ def instrumented_stage(
 
 
 @contextmanager
-def capture(provenance: bool = True) -> Iterator[Observation]:
+def capture() -> Iterator[Observation]:
     """Run a block with fresh tracing + metrics, restoring the previous
     backends afterwards (exception-safe).  The CLI commands and the
     integration tests are built on this."""
-    global _TRACER, _METRICS, _PROVENANCE
+    global _TRACER, _METRICS
     with _LOCK:
-        prev = (_TRACER, _METRICS, _PROVENANCE)
+        prev = (_TRACER, _METRICS)
         _TRACER = Tracer()
         _METRICS = MetricsRegistry()
-        _PROVENANCE = provenance
         observation = Observation(tracer=_TRACER, metrics=_METRICS)
     try:
         yield observation
     finally:
         with _LOCK:
-            _TRACER, _METRICS, _PROVENANCE = prev
+            _TRACER, _METRICS = prev

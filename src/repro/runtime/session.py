@@ -12,6 +12,10 @@ Typical use::
 A :class:`CompiledProgram` bundles per-kernel mapping decisions, launch
 plans, generated CUDA, the functional executor, and the cost model.
 
+Each stage runs once per compile: the program is analyzed once, codegen
+emits every kernel from that analysis and the decided mappings, and the
+provenance record reads the ranking the deciding search kept.
+
 Resilience: each pipeline stage (analysis, search, optimizer, codegen,
 interpreter, simulator) runs under a guard.  With ``resilient=True`` (the
 default) a failed MultiDim search degrades to the conservative fallback
@@ -42,7 +46,7 @@ from ..gpusim.simulator import KernelDecision, decide_mapping
 from ..gpusim.stats import ProgramCost
 from ..interp.evaluator import Evaluator
 from ..ir.patterns import Program
-from ..observability import get_metrics, get_tracer, provenance_enabled
+from ..observability import get_metrics, get_tracer
 from ..optim.pipeline import (
     OptimizationFlags,
     build_plan,
@@ -112,8 +116,7 @@ class CompiledProgram:
     size_hints: Dict[str, int] = field(default_factory=dict)
     #: Where escaping errors write their failure-report artifacts.
     report_dir: Optional[str] = None
-    #: Cached mapping-provenance record (built on first request, or
-    #: eagerly at compile time when provenance capture is enabled).
+    #: Cached mapping-provenance record (built on first request).
     _provenance: Optional[Any] = field(default=None, repr=False)
     #: Cached program-level transformation recipe.
     _recipe: Optional[Any] = field(default=None, repr=False)
@@ -122,18 +125,19 @@ class CompiledProgram:
     def degraded(self) -> bool:
         return bool(self.degradations)
 
-    def provenance(self, top_k: int = 5):
+    def provenance(self):
         """The "why this mapping won" record for this compile.
 
-        Re-ranks every kernel's candidates (top ``top_k``) with
-        per-constraint verdicts and score deltas; the result serializes to
-        JSON (``repro explain`` renders saved artifacts).  Built lazily and
-        cached — the first call fixes ``top_k``.
+        Every kernel's top 5 ranked candidates, as the search that chose
+        its mapping recorded them, with per-constraint verdicts and score
+        deltas; the result serializes to JSON (``repro explain`` renders
+        saved artifacts).  Built lazily from the compile's own records
+        (no search runs) and cached.
         """
         if self._provenance is None:
             from ..observability.provenance import build_provenance
 
-            self._provenance = build_provenance(self, top_k=top_k)
+            self._provenance = build_provenance(self)
         return self._provenance
 
     def recipe(self):
@@ -383,11 +387,6 @@ class GpuSession:
                 metrics.counter("resilience.degradation.activations").inc(
                     len(compiled.degradations)
                 )
-        if provenance_enabled():
-            try:
-                compiled.provenance()
-            except ReproError:
-                pass  # provenance is best-effort diagnostics
         return compiled
 
     def _compile(
@@ -468,12 +467,9 @@ class GpuSession:
 
         try:
             module = compile_program(
-                program,
-                self.strategy,
-                device=self.device,
+                analysis,
+                [d.mapping for d in decisions],
                 prealloc=self.flags.prealloc,
-                mappings=[d.mapping for d in decisions],
-                **size_hints,
             )
         except ReproError as exc:
             fail(exc, "codegen")

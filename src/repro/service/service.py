@@ -51,8 +51,6 @@ class ServiceConfig:
     #: Per-request search budget (conservative fallback on exhaustion).
     deadline_s: Optional[float] = _config.DEFAULT_REQUEST_DEADLINE_S
     max_nodes: Optional[int] = None
-    #: Store the mapping-provenance record inside each artifact.
-    provenance: bool = True
     #: Persist the in-memory sweep memo across restarts (needs cache_dir).
     memo_persistence: bool = True
 
@@ -245,9 +243,4 @@ class CompileService(Admission):
         start = time.perf_counter()
         compiled = session.compile(program, **sizes)
         compile_ms = (time.perf_counter() - start) * 1e3
-        return build_artifact(
-            digest,
-            compiled,
-            compile_ms,
-            with_provenance=self.config.provenance,
-        )
+        return build_artifact(digest, compiled, compile_ms)

@@ -64,8 +64,9 @@ class CompileArtifact:
     #: The mapping-provenance record (``repro explain`` renders it).
     provenance: Optional[Dict[str, Any]] = None
     #: The transformation recipe (``Recipe.to_json()`` form) that built
-    #: the plans, and its content digest.  ``None`` for fully degraded
-    #: compiles where no pipeline ran.
+    #: the plans, and its content digest.  :func:`build_artifact` always
+    #: sets both; a kernel whose optimizer degraded appears in the recipe
+    #: as a marker entry.
     recipe: Optional[Dict[str, Any]] = None
     recipe_digest: Optional[str] = None
     compile_ms: float = 0.0
@@ -121,10 +122,10 @@ class CompileArtifact:
 
 
 #: Artifact fields excluded from :func:`artifact_fingerprint`: wall-clock
-#: stamps differ run to run, and provenance is best-effort diagnostics
-#: that embeds elapsed search time.  Everything else — mappings, CUDA
-#: source, cost, flags, versions — must be identical for one digest no
-#: matter which process, backend, or fleet member compiled it.
+#: stamps differ run to run, and provenance embeds elapsed search time.
+#: Everything else — mappings, CUDA source, cost, flags, versions — must
+#: be identical for one digest no matter which process, backend, or fleet
+#: member compiled it.
 FINGERPRINT_VOLATILE_KEYS = ("compile_ms", "created_at", "provenance")
 
 
@@ -158,10 +159,15 @@ def build_artifact(
     digest: str,
     compiled,
     compile_ms: float,
-    with_provenance: bool = True,
 ) -> CompileArtifact:
     """Extract the storable artifact from a
-    :class:`~repro.runtime.session.CompiledProgram`."""
+    :class:`~repro.runtime.session.CompiledProgram`.
+
+    The recipe and the provenance record only read what the compile
+    recorded (per-kernel recipes, the searches' rankings), so an error
+    while assembling them is a bug and escapes: an artifact is never
+    stored with either part silently missing.
+    """
     cost = compiled.estimate_cost()
     cost_dict = {
         "total_us": cost.total_us,
@@ -169,23 +175,7 @@ def build_artifact(
             {"total_us": k.total_us, **k.components()} for k in cost.kernels
         ],
     }
-    provenance = None
-    if with_provenance:
-        from ..errors import ReproError
-
-        try:
-            provenance = compiled.provenance().to_dict()
-        except ReproError:
-            provenance = None  # best-effort diagnostics, as in the session
-    recipe_dict = None
-    recipe_digest = None
-    try:
-        recipe = compiled.recipe()
-    except Exception:
-        recipe = None  # a storable artifact beats a perfect recipe
-    if recipe is not None:
-        recipe_dict = recipe.to_json()
-        recipe_digest = recipe.content_digest()
+    recipe = compiled.recipe()
     return CompileArtifact(
         digest=digest,
         program=compiled.program.name,
@@ -201,9 +191,9 @@ def build_artifact(
         cuda_source=compiled.cuda_source,
         cost=cost_dict,
         degradations=list(compiled.degradations),
-        provenance=provenance,
-        recipe=recipe_dict,
-        recipe_digest=recipe_digest,
+        provenance=compiled.provenance().to_dict(),
+        recipe=recipe.to_json(),
+        recipe_digest=recipe.content_digest(),
         compile_ms=compile_ms,
         created_at=time.time(),
     )

@@ -2,8 +2,10 @@
 
 The two search engines — the exhaustive reference and the vectorized
 batch engine — must pick the *byte-identical* winner for any input:
-same mapping, same exact score, same DOP, same candidate counts, and
-(under ``keep_all``) the same ranked candidate list in the same order.
+same mapping, same exact score, same DOP, same candidate counts, the
+same top-5 ``ranked`` list, and (under ``keep_all``) the same scored
+candidate list in the same order.  ``ranked`` must also equal the
+reference's ``keep_all`` list sorted by ``ranking_key``, cut to 5.
 These tests replay the checked-in difftest corpus plus a fresh
 generator sample through both engines and through ``search_mapping``,
 cover sizes past float and int64 precision, then pin the selection
@@ -18,7 +20,12 @@ import pytest
 
 from repro.analysis import analyze_program
 from repro.analysis.constraints import Constraint, ConstraintSet, CoalesceDimX
-from repro.analysis.search import search_mapping, search_mapping_reference
+from repro.analysis.search import (
+    RANKED_CANDIDATES,
+    ranking_key,
+    search_mapping,
+    search_mapping_reference,
+)
 from repro.analysis.vectorized import (
     BatchUnsupported,
     search_mapping_vectorized,
@@ -51,11 +58,23 @@ def _assert_byte_identical(ref, other, context=""):
         assert str(b.mapping) == str(a.mapping), context
         assert b.score == a.score, context
         assert b.dop == a.dop, context
+    assert _scored(other.ranked) == _scored(ref.ranked), context
+
+
+def _scored(candidates):
+    return [(str(c.mapping), c.score, c.dop) for c in candidates]
+
+
+def _assert_ranked_from_keep_all(ref, context=""):
+    """``ranked`` is the keep_all list in provenance order, cut to 5."""
+    expected = sorted(ref.all_scored, key=ranking_key)[:RANKED_CANDIDATES]
+    assert _scored(ref.ranked) == _scored(expected), context
 
 
 def _check_kernel_across_engines(ka, context):
     args = (ka.depth, ka.constraints, ka.level_sizes())
     ref = search_mapping_reference(*args, keep_all=True)
+    _assert_ranked_from_keep_all(ref, context)
     # Every generated constraint family carries a batch predicate; the
     # vectorized engine must accept the whole corpus, not quietly
     # degrade.
@@ -156,6 +175,20 @@ def test_randomized_vectorized_equivalence(depth):
             keep_all=keep,
         )
         _assert_byte_identical(ref, vec, context)
+        if trial >= trials:
+            _assert_ranked_from_keep_all(ref, context)
+
+
+def test_ranked_keeps_enumeration_order_among_ties():
+    """With no constraints every candidate scores 0, so the top 5 are
+    decided by DOP, block sizes and then enumeration order, ties across
+    the cut included."""
+    for sizes in ((64, 64), (3, 5), (1, 1)):
+        ref = search_mapping_reference(2, ConstraintSet(), sizes,
+                                       keep_all=True)
+        _assert_ranked_from_keep_all(ref, sizes)
+        vec = search_mapping_vectorized(2, ConstraintSet(), sizes)
+        assert _scored(vec.ranked) == _scored(ref.ranked), sizes
 
 
 def test_depth5_coarse_grid_equivalence():
@@ -195,6 +228,7 @@ def test_overflowing_dop_runs_vectorized(name):
     result = search_mapping(*args, keep_all=True, use_cache=False)
     assert result.strategy == "vectorized"
     _assert_byte_identical(ref, result, name)
+    _assert_ranked_from_keep_all(ref, name)
 
 
 # -- engine selection ------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 from repro.analysis import analyze_program
 from repro.analysis.scoring import hard_feasible
 from repro.apps import ALL_APPS
-from repro.codegen import compile_program, generate_host_driver
+from repro.codegen import generate_host_driver
 from repro.gpusim import TESLA_K20C, decide_mapping, estimate_kernel_cost
+from repro.runtime.session import GpuSession
 
 APP_NAMES = sorted(ALL_APPS)
 
@@ -41,7 +42,7 @@ def test_multidim_pipeline(name):
         )
         assert np.isfinite(cost.total_us) and cost.total_us > 0, name
 
-    module = compile_program(program, "multidim", **params)
+    module = GpuSession().compile(program, **params).module
     assert module.source.count("__global__") >= len(pa.kernels), name
     host = generate_host_driver(module, params)
     assert "int main()" in host, name
@@ -59,7 +60,7 @@ def test_one_d_pipeline(name):
             ka, decision.mapping, TESLA_K20C, pa.env, decision.plan
         )
         assert np.isfinite(cost.total_us) and cost.total_us > 0, name
-    module = compile_program(program, "1d", **params)
+    module = GpuSession(strategy="1d").compile(program, **params).module
     assert "__global__" in module.source, name
 
 

@@ -56,13 +56,13 @@ class TestMapping:
         assert d.cost(TESLA_K20C, pa.env).atomic_us > 0
 
     def test_codegen_emits_atomics(self):
-        from repro.codegen import compile_program
+        from repro.runtime.session import GpuSession
 
-        filter_src = compile_program(
-            OUTLIER_FILTER.build(), "multidim", N=1 << 20
-        ).source
+        filter_src = GpuSession().compile(
+            OUTLIER_FILTER.build(), N=1 << 20
+        ).module.source
         assert "atomicAdd(out_count" in filter_src
-        histo_src = compile_program(
-            HISTOGRAM.build(), "multidim", N=1 << 20
-        ).source
+        histo_src = GpuSession().compile(
+            HISTOGRAM.build(), N=1 << 20
+        ).module.source
         assert "atomicAdd(&group_counts" in histo_src

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analysis.mapping import Dim, LevelMapping, Mapping, Span, SpanAll, Split, seq_level
-from repro.codegen.compiler import compile_program
 from repro.codegen.kernels import KernelGenerator
 from repro.analysis.analyzer import analyze_program
+from repro.optim.pipeline import OptimizationFlags
+from repro.runtime.session import GpuSession
 
 
 def generate(program, mapping, **sizes):
@@ -125,19 +126,17 @@ class TestTemplateSelection:
         assert "if (threadIdx.x == 0) outm[" not in k.source
 
     def test_prealloc_buffer_parameter(self, sum_weighted_cols_program):
-        mod = compile_program(
-            sum_weighted_cols_program, "multidim", prealloc=True,
-            R=256, C=256,
-        )
+        mod = GpuSession(flags=OptimizationFlags(prealloc=True)).compile(
+            sum_weighted_cols_program, R=256, C=256,
+        ).module
         src = mod.kernels[0].source
         assert "_buf" in src
         assert "malloc" not in src
 
     def test_malloc_path(self, sum_weighted_cols_program):
-        mod = compile_program(
-            sum_weighted_cols_program, "multidim", prealloc=False,
-            R=256, C=256,
-        )
+        mod = GpuSession(flags=OptimizationFlags(prealloc=False)).compile(
+            sum_weighted_cols_program, R=256, C=256,
+        ).module
         assert "malloc(sizeof(double)" in mod.kernels[0].source
 
     def test_filter_uses_atomic_compaction(self):
@@ -146,7 +145,7 @@ class TestTemplateSelection:
         b = Builder("f")
         xs = b.vector("xs", F64, length="N")
         prog = b.build(xs.filter(lambda e: e > 0))
-        mod = compile_program(prog, "multidim", N=10000)
+        mod = GpuSession().compile(prog, N=10000).module
         src = mod.kernels[0].source
         assert "atomicAdd(out_count, 1)" in src
 
@@ -156,7 +155,7 @@ class TestTemplateSelection:
         b = Builder("g")
         xs = b.vector("xs", F64, length="N")
         prog = b.build(xs.group_by(lambda e: e.cast(I64)))
-        mod = compile_program(prog, "multidim", N=10000)
+        mod = GpuSession().compile(prog, N=10000).module
         src = mod.kernels[0].source
         assert "atomicAdd(&group_counts" in src
 
@@ -165,7 +164,7 @@ class TestEmbeddedPatterns:
     def test_pagerank_hoists_reduce_value(self):
         from repro.apps.pagerank import build_pagerank
 
-        mod = compile_program(build_pagerank(), "multidim", N=4096, E=65536)
+        mod = GpuSession().compile(build_pagerank(), N=4096, E=65536).module
         src = mod.kernels[0].source
         # the reduce result lands in a hoisted local used by the final
         # expression
@@ -175,7 +174,7 @@ class TestEmbeddedPatterns:
     def test_device_function_preamble(self):
         from repro.apps.mandelbrot import build_mandelbrot
 
-        mod = compile_program(build_mandelbrot(), "multidim", H=64, W=64)
+        mod = GpuSession().compile(build_mandelbrot(), H=64, W=64).module
         assert "__device__ double mandel" in mod.source
         assert "mandel(" in mod.kernels[0].source
 
@@ -184,8 +183,9 @@ class TestModule:
     def test_one_kernel_per_outer_pattern(self):
         from repro.apps.naive_bayes import build_naive_bayes
 
-        mod = compile_program(build_naive_bayes(), "multidim",
-                              DOCS=256, WORDS=256)
+        mod = GpuSession().compile(
+            build_naive_bayes(), DOCS=256, WORDS=256
+        ).module
         assert len(mod.kernels) == 2
         assert mod.kernels[0].name != mod.kernels[1].name
         # two main kernels, plus combiner kernels if ControlDOP split one
@@ -194,11 +194,13 @@ class TestModule:
     def test_struct_params_flattened(self):
         from repro.apps.pagerank import build_pagerank
 
-        mod = compile_program(build_pagerank(), "multidim", N=4096, E=65536)
+        mod = GpuSession().compile(build_pagerank(), N=4096, E=65536).module
         sig_names = [name for _, name in mod.kernels[0].params]
         assert "graph_offsets" in sig_names
         assert "graph_nbrs" in sig_names
 
     def test_fixed_strategy_codegen(self, sum_rows_program):
-        mod = compile_program(sum_rows_program, "warp-based", R=512, C=512)
+        mod = GpuSession(strategy="warp-based").compile(
+            sum_rows_program, R=512, C=512
+        ).module
         assert "__global__" in mod.source

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical programs used across the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ from repro.ir.builder import let_vec
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def patch_repro_bindings(monkeypatch, module, name, replacement):
+    """Point every ``repro`` module's binding of ``module.name`` at
+    ``replacement``: each call site looks the name up in the module
+    that imported it."""
+    original = getattr(module, name)
+    for other in list(sys.modules.values()):
+        if (
+            getattr(other, "__name__", "").split(".")[0] == "repro"
+            and getattr(other, name, None) is original
+        ):
+            monkeypatch.setattr(other, name, replacement)
 
 
 def make_sum_rows():

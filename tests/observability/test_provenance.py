@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.analysis import search as search_module
+from repro.errors import ReproError, SearchError
 from repro.observability.provenance import (
     PROVENANCE_VERSION,
     CompileProvenance,
@@ -12,7 +13,9 @@ from repro.observability.provenance import (
     load_provenance,
 )
 from repro.resilience.budget import Budget
+from repro.resilience.faults import FaultPlan, inject_faults
 from repro.runtime.session import GpuSession
+from tests.conftest import patch_repro_bindings
 
 
 @pytest.fixture
@@ -41,11 +44,9 @@ class TestBuildProvenance:
         assert all(v.satisfied for v in kernel.verdicts if v.hard)
 
     def test_candidates_ranked_with_deltas(self, compiled):
-        kernel = build_provenance(compiled, top_k=4).kernels[0]
-        assert 1 <= len(kernel.candidates) <= 4
-        assert [c.rank for c in kernel.candidates] == list(
-            range(1, len(kernel.candidates) + 1)
-        )
+        kernel = build_provenance(compiled).kernels[0]
+        assert len(kernel.candidates) == 5
+        assert [c.rank for c in kernel.candidates] == [1, 2, 3, 4, 5]
         assert kernel.candidates[0].score_delta == 0.0
         scores = [c.score for c in kernel.candidates]
         assert scores == sorted(scores, reverse=True)
@@ -54,6 +55,27 @@ class TestBuildProvenance:
                 kernel.candidates[0].score - cand.score
             )
             assert cand.verdicts
+
+    def test_candidates_are_the_deciding_searchs_ranking(self, compiled):
+        kernel = build_provenance(compiled).kernels[0]
+        ranked = compiled.decisions[0].search.ranked
+        assert [(c.mapping, c.score, c.dop) for c in kernel.candidates] == [
+            (str(sm.mapping), sm.score, sm.dop) for sm in ranked
+        ]
+
+    def test_ranks_without_searching_again(self, compiled, monkeypatch):
+        """Provenance reads the compile's own ranking: a search that
+        fails after the compile cannot empty it."""
+
+        def no_search(*args, **kwargs):
+            raise SearchError("search must not run while building provenance")
+
+        patch_repro_bindings(
+            monkeypatch, search_module, "search_mapping", no_search
+        )
+        kernel = build_provenance(compiled).kernels[0]
+        assert kernel.note == ""
+        assert len(kernel.candidates) == 5
 
     def test_session_provenance_is_lazy_and_cached(self, compiled):
         assert compiled._provenance is None
@@ -81,6 +103,20 @@ class TestBuildProvenance:
         prov = build_provenance(compiled)
         assert prov.degradations
         kernel = prov.kernels[0]
+        assert "fallback" in kernel.note
+        assert kernel.candidates == []
+
+    def test_failed_search_notes_fallback(self, sum_cols_program):
+        """A search that raised leaves the fallback mapping and no
+        ranking: provenance says so instead of ranking candidates from
+        another search that did not choose the mapping."""
+        with inject_faults(FaultPlan.single("search", "exception")):
+            compiled = GpuSession().compile(sum_cols_program, R=128, C=128)
+        assert compiled.decisions[0].search is None
+        kernel = build_provenance(compiled).kernels[0]
+        assert kernel.mapping == str(compiled.decisions[0].mapping)
+        assert kernel.search is None
+        assert "search failed" in kernel.note
         assert "fallback" in kernel.note
         assert kernel.candidates == []
 

@@ -4,6 +4,8 @@ import os
 import pickle
 
 from repro.analysis.cache import get_autotune_cache, get_search_cache
+from repro.analysis.constraints import ConstraintSet
+from repro.analysis.search import search_mapping
 from repro.ir.serialize import PIPELINE_VERSION
 from repro.service.memo import MEMO_VERSION, load_memo, memo_path, save_memo
 
@@ -45,6 +47,26 @@ class TestMemoPersistence:
         path.write_bytes(pickle.dumps(payload))
         assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
         assert not path.exists()
+
+    def test_memo_from_before_ranked_discarded(self, tmp_path):
+        """Version-1 memos hold search results without ``ranked``, which
+        provenance reads: they are discarded, never served."""
+        search = get_search_cache()
+        search.clear()
+        try:
+            search_mapping(2, ConstraintSet(), (64, 64))
+            path = save_memo(str(tmp_path))
+            payload = pickle.loads(path.read_bytes())
+            for _, result in payload["search"]:
+                del result.__dict__["ranked"]
+            payload["version"] = 1
+            path.write_bytes(pickle.dumps(payload))
+            search.clear()
+            assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+            assert not path.exists()
+        finally:
+            search.clear()
+            get_autotune_cache().clear()
 
     def test_malicious_pickle_is_discarded_not_executed(self, tmp_path):
         # pickle.load resolves and calls arbitrary globals; the memo

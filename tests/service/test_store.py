@@ -334,13 +334,30 @@ class TestBuildArtifact:
         assert artifact.provenance is not None
         assert artifact.created_at > 0
 
-    def test_provenance_optional(self):
-        from repro.apps import resolve_app
-        from repro.runtime import GpuSession
-
-        app = resolve_app("sumRows")
-        compiled = GpuSession().compile(app.build(), R=64, C=32)
-        artifact = build_artifact(
-            "ab" * 32, compiled, compile_ms=5.0, with_provenance=False
+    def test_recipe_failure_is_an_error_not_a_recipe_less_artifact(
+        self, tmp_path, monkeypatch
+    ):
+        """Recipe assembly only reads what the compile recorded, so a
+        failure there is a bug: the request errors and nothing is
+        stored, instead of an artifact silently stored without one."""
+        from repro.optim.passes import recipe
+        from repro.service import (
+            STATUS_ERROR, CompileRequest, CompileService, ServiceConfig,
         )
-        assert artifact.provenance is None
+
+        def broken(compiled):
+            raise RuntimeError("recipe assembly bug")
+
+        monkeypatch.setattr(recipe, "build_compile_recipe", broken)
+        service = CompileService(
+            ServiceConfig(workers=1, cache_dir=str(tmp_path / "cache"))
+        )
+        try:
+            req = CompileRequest(app="sumRows", sizes={"R": 64, "C": 32})
+            outcome = service.compile(req)
+            assert outcome.status == STATUS_ERROR
+            assert "recipe assembly bug" in outcome.error.message
+            assert len(service.store) == 0
+            assert service.store.get(req.digest()) is None
+        finally:
+            service.close(save=False)
