@@ -485,6 +485,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         deadline_s=args.deadline_s if args.deadline_s > 0 else None,
         max_nodes=args.max_nodes,
     )
+    import repro.apps  # noqa: F401 - load the app registry before serving
+
     with capture() as obs:
         service = CompileService(config)
         server = make_server(service, args.host, args.port)
@@ -620,6 +622,8 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         probe_interval_s=args.probe_interval_s,
     )
+    import repro.apps  # noqa: F401 - load the app registry before serving
+
     with capture() as obs:
         if args.subprocess:
             # Deployment shape: each backend is a separate `repro serve`

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
-import re
 from typing import Any, Dict, Mapping, Optional
 
 from ..errors import IRError
@@ -61,7 +61,7 @@ FORMAT_VERSION = 1
 #: change makes previously generated artifacts (mappings, CUDA, costs)
 #: stale even though the IR format is unchanged, and every cached
 #: artifact is transparently invalidated.
-PIPELINE_VERSION = 4
+PIPELINE_VERSION = 5
 
 _SCALARS = {"f32", "f64", "i32", "i64", "bool"}
 
@@ -478,10 +478,6 @@ def _rename_vars(node: Any, mapping: Dict[str, str]) -> Any:
     return out
 
 
-#: Shape of the canonical binder names the alpha-rename introduces.
-_CANON_NAME_RE = re.compile(r"%b\d+")
-
-
 def _collect_names(node: Any, names: set) -> None:
     """Record every ``var``/``param`` occurrence name (free or bound)."""
     if isinstance(node, list):
@@ -496,54 +492,29 @@ def _collect_names(node: Any, names: set) -> None:
         _collect_names(node[key], names)
 
 
-def _flat_rename_is_sound(data: Dict[str, Any], order: list) -> bool:
-    """Whether the flat binder-rename map is an alpha-renaming of ``data``.
-
-    The flat map renames *every* ``var`` occurrence of a binder name, so
-    it preserves semantics only when (a) binder names are pairwise
-    distinct — no shadowing for the flat map to mis-merge — and (b) no
-    binder name doubles as a free name (a parameter, a ``size_hints`` /
-    ``array_shapes`` key, or a variable inside a shape expression),
-    which the rename would otherwise capture.  Canonical ``%b<k>`` names
-    must also not already occur anywhere, or renamed binders could
-    collide with genuinely distinct names.
-    """
-    binders = set(order)
-    if len(binders) != len(order):
-        return False
-    reserved: set = {p["name"] for p in data["params"]}
-    reserved.update(data.get("size_hints") or {})
-    reserved.update(data.get("array_shapes") or {})
-    _collect_names(data.get("array_shapes") or {}, reserved)
-    if binders & reserved:
-        return False
-    all_names = binders | reserved
-    _collect_names(data["result"], all_names)
-    return not any(_CANON_NAME_RE.fullmatch(name) for name in all_names)
-
-
 def canonical_program_dict(program: Program) -> Dict[str, Any]:
-    """:func:`program_to_dict` with bound variables alpha-renamed.
+    """The canonical form of ``program``: :func:`program_to_dict` with
+    every bound variable renamed to ``_b<k>``.
 
     The builder gensyms binder names from a process-wide counter, so two
     builds of the *same* program serialize with different index/temp
-    names (``i0`` vs ``i1``).  Digests must not see that: every bound
-    variable (pattern indices, ``bind`` targets, ``reduce`` combiner
-    operands) is renamed to ``%b<k>`` in deterministic traversal order.
-    Free names — parameters, symbolic sizes — are untouched, so their
-    correspondence with ``size_hints``/``array_shapes`` keys survives.
+    names (``i0`` vs ``i1``).  Neither the digest nor the generated CUDA
+    may see that: every bound variable (pattern indices, ``bind``
+    targets, ``reduce`` combiner operands) is renamed to ``_b<k>`` (a
+    valid C identifier) in deterministic traversal order, skipping any
+    ``k`` whose name occurs free in the program.  Free names —
+    parameters, symbolic sizes — are untouched, so their correspondence
+    with ``size_hints``/``array_shapes`` keys survives.
 
-    Binder names are globally unique within a *built* program (that is
-    the symbol table's contract), which is what makes a flat rename map
-    sound — there is no shadowing to respect.  Client-supplied IR
-    (``program_ir`` over the wire) is under no such contract, so the
-    contract is checked rather than assumed: when binder names are
-    shadowed, collide with free names, or already look canonical, the
-    program is digested with its names as-is.  The fallback never
-    renames, so it can never canonicalize two semantically different
-    programs onto one digest; the only cost is that alpha-equivalent
-    spellings of such programs hash apart (a cache split, not a wrong
-    artifact).
+    The rename map is flat, which is sound only under the builder's
+    contract that binder names are unique and never double as free
+    names.  Client-supplied IR (``program_ir`` over the wire) is under
+    no such contract, so it is checked rather than assumed: when binders
+    shadow each other or collide with a free name, the program keeps its
+    raw names.  The fallback never renames, so two semantically
+    different programs never share a canonical form; the only cost is
+    that alpha-equivalent spellings of such programs stay apart (a cache
+    split, not a wrong artifact).
     """
     data = program_to_dict(program)
     order: list = []
@@ -551,53 +522,29 @@ def canonical_program_dict(program: Program) -> Dict[str, Any]:
     _collect_binders(data["result"], order)
     for name in sorted(data.get("array_shapes", {})):
         _collect_binders(data["array_shapes"][name], order)
-    if not _flat_rename_is_sound(data, order):
+    binders = set(order)
+    free: set = {p["name"] for p in data["params"]}
+    free.update(data.get("size_hints") or {})
+    free.update(data.get("array_shapes") or {})
+    _collect_names(data.get("array_shapes") or {}, free)
+    if len(binders) != len(order) or binders & free:
         return data
-    mapping: Dict[str, str] = {}
-    for name in order:
-        if name not in mapping:
-            mapping[name] = f"%b{len(mapping)}"
-    return _rename_vars(data, mapping)
+    used: set = set()
+    _collect_names(data["result"], used)
+    free |= used - binders
+    targets = (f"_b{k}" for k in itertools.count() if f"_b{k}" not in free)
+    return _rename_vars(data, dict(zip(order, targets)))
 
 
 def canonicalize_program(program: Program) -> Program:
-    """Rebuild ``program`` with deterministic binder names.
+    """The program :func:`compile_digest` hashes, rebuilt:
+    ``program_from_dict(canonical_program_dict(program))``.
 
-    :func:`canonical_program_dict` keeps gensym noise out of *digests*,
-    but the pipeline compiles the raw program, so generated CUDA would
-    still spell loop indices ``i1`` in one process and ``i3`` in another
-    — two backends serving one digest would disagree byte-for-byte.
-    This renames every binder to ``_b<k>`` (a valid C identifier, unlike
-    the digest form's ``%b<k>``) in the same traversal order, making
-    codegen a pure function of the digest.
-
-    Guarded by the same soundness contract as the digest rename, plus a
-    check that no ``_b<k>`` target already occurs as any name; when
-    either fails the program is returned unchanged — correctness first,
-    determinism where it is provable.
+    The pipeline compiles this form, so generated CUDA is a pure
+    function of the digest no matter which process or fleet backend
+    compiles it.
     """
-    data = program_to_dict(program)
-    order: list = []
-    _collect_binders(data["params"], order)
-    _collect_binders(data["result"], order)
-    for name in sorted(data.get("array_shapes", {})):
-        _collect_binders(data["array_shapes"][name], order)
-    if not _flat_rename_is_sound(data, order):
-        return program
-    mapping: Dict[str, str] = {}
-    for name in order:
-        if name not in mapping:
-            mapping[name] = f"_b{len(mapping)}"
-    if set(mapping.values()) & set(mapping):
-        return program
-    all_names: set = {p["name"] for p in data["params"]}
-    all_names.update(data.get("size_hints") or {})
-    all_names.update(data.get("array_shapes") or {})
-    _collect_names(data.get("array_shapes") or {}, all_names)
-    _collect_names(data["result"], all_names)
-    if set(mapping.values()) & all_names:
-        return program
-    return program_from_dict(_rename_vars(data, mapping))
+    return program_from_dict(canonical_program_dict(program))
 
 
 def compile_digest(
@@ -609,21 +556,39 @@ def compile_digest(
 ) -> str:
     """Canonical content digest of one compilation's inputs.
 
-    Covers everything the pipeline's output depends on: the serialized
-    program (binder names canonicalized — see
-    :func:`canonical_program_dict`), the device description (every field
-    of the :class:`~repro.gpusim.device.GpuDevice` dataclass, so two
-    devices that differ only in, say, shared-memory size hash apart),
-    the :class:`~repro.optim.pipeline.OptimizationFlags`, the strategy,
-    the size bindings, and both schema stamps (:data:`FORMAT_VERSION`,
+    Covers everything the pipeline's output depends on: the program in
+    its canonical form (:func:`canonical_program_dict` — exactly the
+    program the service compiles, :func:`canonicalize_program`), the
+    device description (every field of the
+    :class:`~repro.gpusim.device.GpuDevice` dataclass, so two devices
+    that differ only in, say, shared-memory size hash apart), the
+    :class:`~repro.optim.pipeline.OptimizationFlags`, the strategy, the
+    size bindings, and both schema stamps (:data:`FORMAT_VERSION`,
     :data:`PIPELINE_VERSION`) — bumping either changes every digest,
     which is exactly the invalidation rule the artifact store relies on.
 
     Semantically equal inputs digest equal: the encoding is
     :func:`canonical_json`, so dict insertion order (size hints, array
     shapes, sizes) never leaks into the hash, and binder gensym counters
-    never leak in via the program.
+    never leak in via the program.  Canonicalizing is idempotent, so
+    ``compile_digest(canonicalize_program(p)) == compile_digest(p)``.
     """
+    return canonical_digest(
+        canonical_program_dict(program), device, flags, strategy, sizes
+    )
+
+
+def canonical_digest(
+    program_data: Dict[str, Any],
+    device: Any = None,
+    flags: Any = None,
+    strategy: Optional[str] = None,
+    sizes: Optional[Mapping[str, int]] = None,
+) -> str:
+    """:func:`compile_digest` of a program already in canonical form
+    (``program_to_dict(canonicalize_program(p))``, which equals
+    ``canonical_program_dict(p)``), for a caller that canonicalizes once
+    and both hashes and compiles the result."""
 
     def _fields(value: Any) -> Any:
         if value is None:
@@ -641,7 +606,7 @@ def compile_digest(
     payload = {
         "format_version": FORMAT_VERSION,
         "pipeline_version": PIPELINE_VERSION,
-        "program": canonical_program_dict(program),
+        "program": program_data,
         "device": _fields(device),
         "flags": _fields(flags),
         "strategy": strategy,

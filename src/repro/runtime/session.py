@@ -40,7 +40,11 @@ from ..analysis.mapping import Mapping
 from ..analysis.shapes import SizeEnv
 from ..codegen.compiler import CompiledModule, compile_program
 from ..errors import ReproError, SimulationError
-from ..gpusim.cost import LaunchPlan, estimate_kernel_cost
+from ..gpusim.cost import (
+    LaunchPlan,
+    estimate_kernel_cost,
+    runtime_level_sizes,
+)
 from ..gpusim.device import GpuDevice, default_device
 from ..gpusim.simulator import KernelDecision, decide_mapping
 from ..gpusim.stats import ProgramCost
@@ -188,9 +192,12 @@ class CompiledProgram:
     ) -> ProgramCost:
         """Simulate execution time, optionally at different runtime sizes.
 
-        With ``dynamic_launch`` (the default) block sizes and span/split
-        factors are re-tuned per kernel for the actual sizes while keeping
-        the static dimension/span-kind decision, as in Section IV-D.
+        At the compile's own sizes each kernel is priced with the mapping
+        and launch plan it ships, as ``simulate_program`` prices it.  At
+        other sizes, with ``dynamic_launch`` (the default), block sizes
+        and span/split factors are re-tuned per kernel while keeping the
+        static dimension/span-kind decision, as in Section IV-D, and the
+        plan is rebuilt for the re-tuned mapping.
 
         With ``check=True`` a non-finite modeled cost raises a typed
         :class:`~repro.errors.SimulationError` (with failure report)
@@ -202,30 +209,28 @@ class CompiledProgram:
             env = self.analysis.env
         result = ProgramCost()
         for index, decision in enumerate(self.decisions):
+            analysis = decision.analysis
             mapping = decision.mapping
             try:
+                level_sizes = runtime_level_sizes(analysis.nest, env)
+                if level_sizes == analysis.level_sizes():
+                    result.kernels.append(decision.cost(self.device, env))
+                    continue
                 # Dynamic adjustment retunes what the MultiDim analysis
                 # left dynamic; fixed baseline strategies keep their
                 # defining block geometry (that rigidity is exactly what
                 # the paper measures).
                 if self.dynamic_launch and self.strategy == "multidim":
-                    from ..gpusim.cost import runtime_level_sizes
-
-                    level_sizes = runtime_level_sizes(
-                        decision.analysis.nest, env
-                    )
                     mapping = adjust_at_launch(
                         mapping,
-                        decision.analysis.constraints,
+                        analysis.constraints,
                         level_sizes,
                         self.device.dop_window(),
                     )
-                plan = build_plan(
-                    decision.analysis, mapping, self.device, self.flags
-                )
+                plan = build_plan(analysis, mapping, self.device, self.flags)
                 result.kernels.append(
                     estimate_kernel_cost(
-                        decision.analysis, mapping, self.device, env, plan
+                        analysis, mapping, self.device, env, plan
                     )
                 )
             except ReproError as exc:
@@ -303,10 +308,7 @@ class CompiledProgram:
             lines.append("### Simulated cost")
             lines.append("")
             lines.append("```")
-            cost = estimate_kernel_cost(
-                ka, decision.mapping, self.device, self.analysis.env,
-                decision.plan,
-            )
+            cost = decision.cost(self.device, self.analysis.env)
             lines.append(cost.describe())
             lines.append("```")
             lines.append("")

@@ -3,9 +3,12 @@
 A :class:`CompileRequest` names *what* to compile — a registered app or a
 serialized IR program, plus size bindings, a device, a strategy, and
 optimization flags.  Requests serialize to plain JSON (the HTTP body) and
-resolve server-side into the concrete pipeline inputs; the resolved form
-is hashed with :func:`repro.ir.serialize.compile_digest` into the
-content address every cache layer keys on.
+resolve server-side into the concrete pipeline inputs.  A request
+resolves and canonicalizes once: :meth:`CompileRequest.digest` hashes
+the canonical program (see :func:`repro.ir.serialize.compile_digest`)
+into the content address every cache layer keys on, and keeps the
+canonical ``(program, device, sizes)`` it hashed, so the miss that
+follows compiles exactly that program without resolving again.
 
 A :class:`CompileOutcome` is what a requester gets back: the digest, how
 the request was served (``hit`` / ``miss`` / ``coalesced`` / ``error``),
@@ -18,13 +21,18 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import RuntimeConfigError
 from ..gpusim.device import DEVICES, GpuDevice, default_device
 from ..ir.patterns import Program
-from ..ir.serialize import compile_digest, program_from_dict, program_to_dict
+from ..ir.serialize import (
+    canonical_digest,
+    canonicalize_program,
+    program_from_dict,
+    program_to_dict,
+)
 from ..optim.pipeline import OptimizationFlags
 
 #: How one request was served.
@@ -88,6 +96,9 @@ class CompileRequest:
             # Non-positive budgets are legal on the wire (a hop may
             # forward an already-spent budget; the receiver sheds).
             self.deadline_s = float(self.deadline_s)
+        #: ``(digest, program, device, sizes)`` as :meth:`digest` hashed
+        #: them; not a field, so neither a constructor argument nor wire.
+        self._resolved: Optional[Tuple[Any, ...]] = None
 
     # -- serialization ---------------------------------------------------
 
@@ -168,20 +179,21 @@ class CompileRequest:
         """A copy carrying ``deadline_s`` as its remaining budget — how a
         forwarding hop (the fleet router) rebases the caller's deadline
         onto the wire for the next hop."""
-        import dataclasses
-
-        return dataclasses.replace(self, deadline_s=deadline_s)
+        return self._replace(deadline_s=deadline_s)
 
     def with_trace(
         self, trace_id: Optional[str], parent_span_id: Optional[str]
     ) -> "CompileRequest":
         """A copy carrying distributed trace context — how a forwarding
         hop stamps its own dispatch span as the next hop's parent."""
-        import dataclasses
+        return self._replace(trace_id=trace_id, parent_span_id=parent_span_id)
 
-        return dataclasses.replace(
-            self, trace_id=trace_id, parent_span_id=parent_span_id
-        )
+    def _replace(self, **changes: Any) -> "CompileRequest":
+        # Deadline and trace context are outside the digest: the copy
+        # keeps the resolution for an in-process next hop to compile.
+        copy = replace(self, **changes)
+        copy._resolved = self._resolved
+        return copy
 
     # -- resolution ------------------------------------------------------
 
@@ -227,6 +239,9 @@ class CompileRequest:
         :func:`~repro.ir.serialize.compile_digest`), memoized on the
         request content.  Resolution errors are never cached.
 
+        On a memo miss the request resolves and canonicalizes once, and
+        keeps what it hashed for :meth:`compile_inputs`.
+
         The deadline and trace context are excluded from the memo key:
         budgets and trace ids vary call to call while the digest — a
         pure function of *what* to compile — does not, and a
@@ -243,19 +258,32 @@ class CompileRequest:
                 _DIGEST_MEMO.move_to_end(key)
                 return cached
         program, device, sizes = self.resolve()
-        digest = compile_digest(
-            program,
+        program = canonicalize_program(program)
+        digest = canonical_digest(
+            program_to_dict(program),
             device=device,
             flags=self.flags,
             strategy=self.strategy,
             sizes=sizes,
         )
+        self._resolved = (digest, program, device, sizes)
         with _DIGEST_MEMO_LOCK:
             _DIGEST_MEMO[key] = digest
             _DIGEST_MEMO.move_to_end(key)
             while len(_DIGEST_MEMO) > _DIGEST_MEMO_CAPACITY:
                 _DIGEST_MEMO.popitem(last=False)
         return digest
+
+    def compile_inputs(
+        self, digest: str
+    ) -> Tuple[Program, GpuDevice, Dict[str, int]]:
+        """The canonical ``(program, device, sizes)`` behind ``digest``:
+        what :meth:`digest` kept, or a fresh resolve when the digest came
+        from the memo."""
+        if self._resolved is not None and self._resolved[0] == digest:
+            return self._resolved[1:]
+        program, device, sizes = self.resolve()
+        return canonicalize_program(program), device, sizes
 
 
 def request_for_program(

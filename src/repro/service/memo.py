@@ -1,10 +1,12 @@
-"""Persistence adapter between the in-memory sweep memo and the cache dir.
+"""Persistence adapter between the in-memory search memo and the cache dir.
 
-The PR-1 :class:`~repro.analysis.cache.SearchCache` memoizes mapping
-searches *within* a process; this adapter carries it *across* process
-restarts by pickling :meth:`~repro.analysis.cache.SearchCache.snapshot`
-into ``<cache_dir>/memo.pkl`` on shutdown and
-:meth:`~repro.analysis.cache.SearchCache.load`\\ ing it on startup.
+The :class:`~repro.analysis.cache.SearchCache` memoizes mapping searches
+*within* a process; this adapter carries it *across* process restarts by
+pickling :meth:`~repro.analysis.cache.SearchCache.snapshot` into
+``<cache_dir>/memo.pkl`` on shutdown and
+:meth:`~repro.analysis.cache.SearchCache.load`\\ ing it on startup.  The
+search memo is the only one persisted: the service runs the mapping
+search, never the autotuner.
 
 Snapshot/load is deliberately the only interface used, so both layers
 share one invalidation path: whatever ``invalidate``/``evict_where``
@@ -36,7 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict
 
-from ..analysis.cache import get_autotune_cache, get_search_cache
+from ..analysis.cache import get_search_cache
 from ..ir.serialize import PIPELINE_VERSION
 
 #: Bumped on any incompatible memo-file change; the loader checks it.
@@ -76,14 +78,13 @@ def _restricted_load(handle: io.BufferedReader) -> Any:
 
 
 def save_memo(cache_dir: str) -> Path:
-    """Persist both sweep caches' snapshots; returns the file path."""
+    """Persist the search memo's snapshot; returns the file path."""
     path = memo_path(cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": MEMO_VERSION,
         "pipeline_version": PIPELINE_VERSION,
         "search": get_search_cache().snapshot(),
-        "autotune": get_autotune_cache().snapshot(),
     }
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=".tmp-memo-", suffix=".pkl"
@@ -102,37 +103,30 @@ def save_memo(cache_dir: str) -> Path:
 
 
 def load_memo(cache_dir: str) -> Dict[str, int]:
-    """Restore both sweep caches from ``memo.pkl`` when present.
+    """Restore the search memo from ``memo.pkl`` when present.
 
-    Returns ``{"search": n, "autotune": n}`` entry counts (zeros when
-    there was nothing usable to load).
+    Returns ``{"search": n}``, the entry count (zero when there was
+    nothing usable to load).
     """
-    counts = {"search": 0, "autotune": 0}
     path = memo_path(cache_dir)
     try:
         with open(path, "rb") as handle:
             payload = _restricted_load(handle)
         if (
-            not isinstance(payload, dict)
-            or payload.get("version") != MEMO_VERSION
-            or payload.get("pipeline_version") != PIPELINE_VERSION
+            isinstance(payload, dict)
+            and payload.get("version") == MEMO_VERSION
+            and payload.get("pipeline_version") == PIPELINE_VERSION
         ):
-            _discard(path)
-            return counts
-        counts["search"] = get_search_cache().load(
-            payload.get("search") or []
-        )
-        counts["autotune"] = get_autotune_cache().load(
-            payload.get("autotune") or []
-        )
+            entries = payload.get("search") or []
+            return {"search": get_search_cache().load(entries)}
     except FileNotFoundError:
-        return counts
+        return {"search": 0}
     except Exception:  # noqa: BLE001 - any corrupt byte stream is a miss
         # Covers unpickling errors *and* malformed payload shapes that
         # surface later (TypeError/ValueError while installing entries).
-        _discard(path)
-        return {"search": 0, "autotune": 0}
-    return counts
+        pass
+    _discard(path)
+    return {"search": 0}
 
 
 def _discard(path: Path) -> None:

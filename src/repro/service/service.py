@@ -96,7 +96,7 @@ class CompileService(Admission):
             if self.config.cache_dir
             else None
         )
-        self.memo_restored: Dict[str, int] = {"search": 0, "autotune": 0}
+        self.memo_restored: Dict[str, int] = {"search": 0}
         if self.store is not None and self.config.memo_persistence:
             self.memo_restored = load_memo(self.config.cache_dir)
         super().__init__(self.config.workers, self.config.queue_limit)
@@ -217,14 +217,12 @@ class CompileService(Admission):
     def _default_compile(
         self, request: CompileRequest, digest: str
     ) -> CompileArtifact:
-        from ..ir.serialize import canonicalize_program
         from ..runtime.session import GpuSession
 
-        program, device, sizes = request.resolve()
-        # Deterministic binder names: codegen output (and so the stored
-        # artifact) must be a pure function of the digest, no matter
-        # which process or fleet backend runs the pipeline.
-        program = canonicalize_program(program)
+        # The canonical program the digest hashed: codegen output (and so
+        # the stored artifact) is a pure function of the digest, no
+        # matter which process or fleet backend runs the pipeline.
+        program, device, sizes = request.compile_inputs(digest)
         budget = None
         if (
             self.config.deadline_s is not None

@@ -187,7 +187,7 @@ class TestWireIRDigestSoundness:
 
         program = Program(
             "wire",
-            (Param("%b0", I32),),
+            (Param("_b0", I32),),
             Map(
                 Const(4, I32),
                 Var(index_name, I32),
@@ -201,10 +201,11 @@ class TestWireIRDigestSoundness:
         from repro.ir.serialize import compile_digest
 
         # Same shape, different meaning: one body reads the *parameter*
-        # "%b0", the other reads the map *index*.  The flat rename used
-        # to send both to map(%b0 -> %b0), serving one's cached artifact
-        # for the other; with the contract check they hash apart.
-        uses_param = self._program("i", "%b0")
+        # "_b0", the other reads the map *index*.  A rename that gave
+        # the index "_b0" would send both to map(_b0 -> _b0), serving
+        # one's cached artifact for the other; the targets skip free
+        # names, so the index becomes "_b1" and they hash apart.
+        uses_param = self._program("i", "_b0")
         uses_binder = self._program("j", "j")
         assert compile_digest(uses_param) != compile_digest(uses_binder)
 
@@ -246,4 +247,68 @@ class TestWireIRDigestSoundness:
         from repro.ir.serialize import canonical_program_dict
 
         data = canonical_program_dict(ALL_APPS["sumRows"].build())
-        assert "%b0" in json.dumps(data)
+        assert "_b0" in json.dumps(data)
+
+
+def _sum_rows_over(matrix_name):
+    b = Builder("sumRows")
+    m = b.matrix(matrix_name, F64, rows="R", cols="C")
+    return b.build(m.map_rows(lambda row: row.reduce("+")))
+
+
+def _canonical_form_programs():
+    """The 18 apps, the 20 corpus programs and 200 generated programs."""
+    import os
+
+    from repro.difftest import ProgramGenerator, load_corpus
+    from repro.difftest.generator import build_program
+
+    corpus = os.path.join(
+        os.path.dirname(__file__), os.pardir, "integration", "corpus",
+        "seed_corpus.json",
+    )
+    generator = ProgramGenerator(seed=7)
+    return (
+        [ALL_APPS[name].build() for name in sorted(ALL_APPS)]
+        + [build_program(spec) for spec in load_corpus(corpus)]
+        + [build_program(generator.random_spec()) for _ in range(200)]
+    )
+
+
+class TestOneCanonicalForm:
+    """The digest hashes exactly the program the pipeline compiles."""
+
+    def test_compiled_form_is_the_hashed_form(self):
+        from repro.ir.serialize import (
+            canonical_program_dict,
+            canonicalize_program,
+            compile_digest,
+        )
+
+        programs = _canonical_form_programs()
+        assert len(programs) == 238
+        for program in programs:
+            canonical = canonicalize_program(program)
+            assert program_to_dict(canonical) == canonical_program_dict(
+                program
+            ), program.name
+            assert compile_digest(canonical) == compile_digest(program)
+
+    def test_binder_targets_skip_free_names(self):
+        from repro.ir.serialize import canonical_program_dict
+
+        data = canonical_program_dict(_sum_rows_over("_b0"))
+        assert [p["name"] for p in data["params"]] == ["R", "C", "_b0"]
+        # The outer map's index is the first binder; "_b0" is taken.
+        assert data["result"]["index"]["name"] == "_b1"
+        assert program_to_dict(program_from_dict(data)) == data
+
+    def test_param_named_like_a_binder_gives_one_digest_per_program(self):
+        from repro.ir.serialize import canonicalize_program, compile_digest
+
+        first, second = _sum_rows_over("_b0"), _sum_rows_over("_b0")
+        assert program_to_dict(first) != program_to_dict(second)
+        assert compile_digest(first) == compile_digest(second)
+        assert program_to_dict(canonicalize_program(first)) == (
+            program_to_dict(canonicalize_program(second))
+        )

@@ -1,9 +1,12 @@
 """Each stage runs once per compile.
 
-A ``GpuSession.compile`` analyzes the program once: codegen reads the
-session's analysis instead of analyzing again.  Assembling the stored
-artifact (cost, recipe, provenance) runs no search: provenance reads the
-ranking the deciding search kept.
+A ``GpuSession.compile`` analyzes the program once, and builds each
+kernel's launch plan once: codegen reads the session's analysis instead
+of analyzing again.  Assembling the stored artifact (cost, recipe,
+provenance) runs no search, builds no plan and adjusts no launch:
+provenance reads the ranking the deciding search kept, and the cost
+prices each kernel's own mapping and plan.  A request resolves once:
+the digest's resolution is what the miss compiles.
 """
 
 import pytest
@@ -11,7 +14,18 @@ import pytest
 from repro.analysis import analyzer, search
 from repro.analysis.cache import clear_caches
 from repro.apps import ALL_APPS
+from repro.optim import pipeline
+from repro.runtime import launcher
 from repro.runtime.session import GpuSession
+from repro.service import (
+    STATUS_HIT,
+    STATUS_MISS,
+    CompileRequest,
+    CompileService,
+    ServiceConfig,
+    local_fleet,
+)
+from repro.service.api import clear_digest_memo
 from repro.service.store import build_artifact
 from tests.conftest import patch_repro_bindings
 
@@ -24,14 +38,21 @@ def _counting(counts, name, original):
     return wrapper
 
 
+#: Every stage counted: (module, function name).
+_STAGES = (
+    (analyzer, "analyze_program"),
+    (search, "search_mapping"),
+    (pipeline, "build_plan"),
+    (pipeline, "build_plan_with_recipe"),
+    (launcher, "adjust_at_launch"),
+)
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of every ``repro`` binding of the two stages."""
-    counts = {"analyze_program": 0, "search_mapping": 0}
-    for module, name in (
-        (analyzer, "analyze_program"),
-        (search, "search_mapping"),
-    ):
+    """Call counts of every ``repro`` binding of the counted stages."""
+    counts = {name: 0 for _, name in _STAGES}
+    for module, name in _STAGES:
         patch_repro_bindings(
             monkeypatch, module, name,
             _counting(counts, name, getattr(module, name)),
@@ -45,14 +66,55 @@ def calls(monkeypatch):
 def test_one_analysis_per_compile_and_no_search_per_artifact(name, calls):
     app = ALL_APPS[name]
     compiled = GpuSession().compile(app.build(), **app.default_params)
+    kernels = len(compiled.decisions)
     assert calls["analyze_program"] == 1
-    assert calls["search_mapping"] == len(compiled.decisions)
+    assert calls["search_mapping"] == kernels
+    assert calls["build_plan_with_recipe"] == kernels
+    assert calls["build_plan"] == 0
 
-    calls["search_mapping"] = 0
+    for key in calls:
+        calls[key] = 0
     artifact = build_artifact("ab" * 32, compiled, compile_ms=0.0)
-    assert calls["search_mapping"] == 0
-    assert calls["analyze_program"] == 1
+    assert calls == {key: 0 for key in calls}
     assert all(
         len(kernel["candidates"]) >= 1
         for kernel in artifact.provenance["kernels"]
     )
+
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """How many times any request resolves (counted per call)."""
+    count = [0]
+    original = CompileRequest.resolve
+
+    def counting(self):
+        count[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(CompileRequest, "resolve", counting)
+    clear_digest_memo()
+    yield count
+    clear_digest_memo()
+
+
+def _request():
+    return CompileRequest(app="sumRows", sizes={"R": 96, "C": 48})
+
+
+def test_cold_service_request_resolves_once(tmp_path, resolves):
+    with CompileService(ServiceConfig(cache_dir=str(tmp_path))) as service:
+        assert service.compile(_request()).status == STATUS_MISS
+        assert resolves[0] == 1
+        assert service.compile(_request()).status == STATUS_HIT
+        assert resolves[0] == 1
+
+
+def test_cold_fleet_miss_resolves_once(tmp_path, resolves):
+    with local_fleet(2, str(tmp_path)) as router:
+        outcome = router.compile(_request())
+        assert outcome.status == STATUS_MISS
+        assert outcome.served_by is not None
+        assert resolves[0] == 1
+        assert router.compile(_request()).status == STATUS_HIT
+        assert resolves[0] == 1

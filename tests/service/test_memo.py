@@ -3,7 +3,7 @@
 import os
 import pickle
 
-from repro.analysis.cache import get_autotune_cache, get_search_cache
+from repro.analysis.cache import get_search_cache
 from repro.analysis.constraints import ConstraintSet
 from repro.analysis.search import search_mapping
 from repro.ir.serialize import PIPELINE_VERSION
@@ -19,21 +19,25 @@ class TestMemoPersistence:
         try:
             path = save_memo(cache_dir)
             assert path.exists()
+            # Only the search memo is persisted: the service never runs
+            # the autotuner.
+            assert set(pickle.loads(path.read_bytes())) == {
+                "version", "pipeline_version", "search",
+            }
             search.clear()
             restored = load_memo(cache_dir)
-            assert restored["search"] >= 1
+            assert restored == {"search": 1}
             assert search.get(("memo-test", 1)) == "value"
         finally:
             search.clear()
-            get_autotune_cache().clear()
 
     def test_missing_file_is_empty_restore(self, tmp_path):
-        assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+        assert load_memo(str(tmp_path)) == {"search": 0}
 
     def test_corrupt_file_discarded(self, tmp_path):
         path = memo_path(str(tmp_path))
         path.write_bytes(b"not a pickle")
-        assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+        assert load_memo(str(tmp_path)) == {"search": 0}
         assert not path.exists(), "corrupt memo should be deleted"
 
     def test_version_skew_discarded(self, tmp_path):
@@ -42,10 +46,9 @@ class TestMemoPersistence:
             "version": MEMO_VERSION + 1,
             "pipeline_version": 1,
             "search": [],
-            "autotune": [],
         }
         path.write_bytes(pickle.dumps(payload))
-        assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+        assert load_memo(str(tmp_path)) == {"search": 0}
         assert not path.exists()
 
     def test_memo_from_before_ranked_discarded(self, tmp_path):
@@ -62,11 +65,10 @@ class TestMemoPersistence:
             payload["version"] = 1
             path.write_bytes(pickle.dumps(payload))
             search.clear()
-            assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+            assert load_memo(str(tmp_path)) == {"search": 0}
             assert not path.exists()
         finally:
             search.clear()
-            get_autotune_cache().clear()
 
     def test_malicious_pickle_is_discarded_not_executed(self, tmp_path):
         # pickle.load resolves and calls arbitrary globals; the memo
@@ -80,7 +82,7 @@ class TestMemoPersistence:
 
         path = memo_path(str(tmp_path))
         path.write_bytes(pickle.dumps(Evil()))
-        assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+        assert load_memo(str(tmp_path)) == {"search": 0}
         assert not marker.exists(), "unpickling must not execute globals"
         assert not path.exists(), "hostile memo should be deleted"
 
@@ -91,11 +93,10 @@ class TestMemoPersistence:
             "version": MEMO_VERSION,
             "pipeline_version": PIPELINE_VERSION,
             "search": 42,  # not an iterable of (key, value) pairs
-            "autotune": [],
         }
         path = memo_path(str(tmp_path))
         path.write_bytes(pickle.dumps(payload))
-        assert load_memo(str(tmp_path)) == {"search": 0, "autotune": 0}
+        assert load_memo(str(tmp_path)) == {"search": 0}
         assert not path.exists()
 
     def test_evicted_entries_absent_from_next_snapshot(self, tmp_path):
@@ -115,4 +116,3 @@ class TestMemoPersistence:
             assert search.get(("fresh",)) == 2
         finally:
             search.clear()
-            get_autotune_cache().clear()

@@ -472,3 +472,48 @@ class TestDigestMemo:
         for i in range(8):
             request(R=64 + i, C=32).digest()
         assert len(_DIGEST_MEMO) <= _DIGEST_MEMO_CAPACITY
+
+
+class TestOneResolution:
+    """A request resolves and canonicalizes once; the miss compiles the
+    program its digest hashed."""
+
+    def test_copies_for_the_next_hop_keep_the_resolution(self, monkeypatch):
+        from repro.service import clear_digest_memo
+
+        clear_digest_memo()
+        original = request(R=80, C=32)
+        digest = original.digest()
+        monkeypatch.setattr(
+            CompileRequest, "resolve",
+            lambda self: pytest.fail("resolved again"),
+        )
+        hop = original.with_deadline(5.0).with_trace("ab" * 16, "cd" * 8)
+        assert hop.digest() == digest
+        program, _, sizes = hop.compile_inputs(digest)
+        assert program is original.compile_inputs(digest)[0]
+        assert sizes == {"R": 80, "C": 32}
+
+    def test_param_named_like_a_binder_gives_one_artifact(self):
+        from repro.ir import Builder, F64
+        from repro.service.api import request_for_program
+
+        def sum_rows():
+            b = Builder("sumRows")
+            m = b.matrix("_b0", F64, rows="R", cols="C")
+            return b.build(m.map_rows(lambda row: row.reduce("+")))
+
+        # Two builds gensym different binder names: two wire requests.
+        requests = [
+            request_for_program(sum_rows(), sizes={"R": 64, "C": 32})
+            for _ in range(2)
+        ]
+        assert requests[0].program_ir != requests[1].program_ir
+        with CompileService() as service:
+            outcomes = [service.compile(r) for r in requests]
+        assert [o.status for o in outcomes] == [STATUS_MISS, STATUS_MISS]
+        assert outcomes[0].digest == outcomes[1].digest
+        assert (
+            outcomes[0].artifact["cuda_source"]
+            == outcomes[1].artifact["cuda_source"]
+        )
