@@ -986,8 +986,8 @@ def _load_recipe_ref(ref: str, cache_dir: Optional[str]):
         if data is not None:
             return Recipe.from_json(data)
         artifact = store.get(ref)
-        if artifact is not None and artifact.recipe is not None:
-            return Recipe.from_json(artifact.recipe)
+        if artifact is not None and artifact.get("recipe") is not None:
+            return Recipe.from_json(artifact["recipe"])
         raise RuntimeConfigError(
             f"no recipe for digest {ref} in {cache_dir}"
         )

@@ -441,6 +441,13 @@ def canonical_json(data: Any) -> str:
     )
 
 
+def content_digest(data: Any) -> str:
+    """The content address of a JSON value: the SHA-256 hex of its
+    :func:`canonical_json` (so NaN and infinities are refused).  Compile,
+    recipe and plan-state digests and artifact fingerprints all use it."""
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+
+
 #: Node tags that introduce a bound index variable (``index`` field).
 _PATTERN_TAGS = ("map", "zipwith", "reduce", "filter", "groupby", "foreach")
 
@@ -612,4 +619,4 @@ def canonical_digest(
         "strategy": strategy,
         "sizes": None if sizes is None else {k: int(v) for k, v in sizes.items()},
     }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return content_digest(payload)

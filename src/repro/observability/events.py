@@ -3,11 +3,12 @@
 The fleet's *data plane* (compile requests) is instrumented with spans
 and metrics that can be switched off for zero overhead.  The *control
 plane* — breaker transitions, reroutes, deadline sheds, store
-quarantines, queue rejections — is different: those transitions
-are rare (they happen when something is already going wrong), each one
-is exactly what an operator needs to see, and losing them because
-observability was off defeats the point.  So the event log is always on
-and bounded: a fixed-capacity ring that counts what it drops.
+quarantines, queue rejections, degraded compiles — is different: those
+transitions are rare (they happen when something is already going
+wrong), each one is exactly what an operator needs to see, and losing
+them because observability was off defeats the point.  So the event
+log is always on and bounded: a fixed-capacity ring that counts what it
+drops.
 
 Every event is a flat JSON object::
 
@@ -30,8 +31,8 @@ from typing import Any, Deque, Dict, List, Optional
 
 from ..config import DEFAULT_EVENT_LOG_CAPACITY
 
-#: Event kinds emitted by the fleet tier (the schema's closed vocabulary;
-#: documented in docs/observability.md).
+#: Event kinds emitted by the service tiers and the compile pipeline
+#: (the schema's closed vocabulary; documented in docs/observability.md).
 EVENT_KINDS = (
     "breaker_open",
     "breaker_half_open",
@@ -41,6 +42,8 @@ EVENT_KINDS = (
     "deadline_shed",
     "queue_rejected",
     "quarantine",
+    "fallback_mapping",
+    "unoptimized_plan",
 )
 
 

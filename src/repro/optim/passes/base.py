@@ -12,7 +12,6 @@ state digests), replayable (``repro recipe replay``), and searchable
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -78,10 +77,9 @@ class PlanState:
 
     def digest(self) -> str:
         """SHA-256 over the canonical encoding of the decisions."""
-        from ...ir.serialize import canonical_json
+        from ...ir.serialize import content_digest
 
-        payload = canonical_json(self.decisions_dict())
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_digest(self.decisions_dict())
 
     def to_plan(self) -> LaunchPlan:
         """The :class:`LaunchPlan` these decisions denote."""

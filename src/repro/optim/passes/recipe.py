@@ -19,7 +19,6 @@ pipeline whose behavior drifted without a
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -161,10 +160,9 @@ class Recipe:
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical JSON encoding — the store address."""
-        from ...ir.serialize import canonical_json
+        from ...ir.serialize import content_digest
 
-        payload = canonical_json(self.to_json())
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_digest(self.to_json())
 
     def resolve_device(self) -> GpuDevice:
         device = DEVICES.get(self.device)

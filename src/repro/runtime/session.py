@@ -50,7 +50,7 @@ from ..gpusim.simulator import KernelDecision, decide_mapping
 from ..gpusim.stats import ProgramCost
 from ..interp.evaluator import Evaluator
 from ..ir.patterns import Program
-from ..observability import get_metrics, get_tracer
+from ..observability import emit_event, get_metrics, get_tracer
 from ..optim.pipeline import (
     OptimizationFlags,
     build_plan,
@@ -420,6 +420,13 @@ class GpuSession:
             fail(exc, "analysis")
 
         degradations: List[str] = []
+
+        def degrade(kind: str, index: int, reason: str, note: str) -> None:
+            # Every degradation note has its event and its counter.
+            degradations.append(f"kernel {index}: {note}")
+            emit_event(kind, program=program.name, kernel=index, reason=reason)
+            get_metrics().counter(f"resilience.degradation.{kind}").inc()
+
         decisions: List[KernelDecision] = []
         for index, ka in enumerate(analysis.kernels):
             try:
@@ -438,16 +445,16 @@ class GpuSession:
                     decision = self._fallback_decision(ka)
                 except ReproError:
                     fail(exc, "search", kernel_index=index)
-                degradations.append(
-                    f"kernel {index}: mapping search failed "
-                    f"({type(exc).__name__}: {exc}); conservative fallback "
-                    "mapping substituted"
+                reason = f"{type(exc).__name__}: {exc}"
+                degrade(
+                    "fallback_mapping", index, reason,
+                    f"mapping search failed ({reason}); conservative "
+                    "fallback mapping substituted",
                 )
             else:
                 if decision.search is not None and decision.search.degraded:
-                    degradations.append(
-                        f"kernel {index}: {decision.search.degraded_reason}"
-                    )
+                    reason = decision.search.degraded_reason
+                    degrade("fallback_mapping", index, reason, reason)
             try:
                 decision.plan, decision.recipe = build_plan_with_recipe(
                     ka, decision.mapping, self.device, self.flags
@@ -460,10 +467,11 @@ class GpuSession:
                     )
                 decision.plan = LaunchPlan(prealloc=True)
                 decision.recipe = None
-                degradations.append(
-                    f"kernel {index}: optimizer failed "
-                    f"({type(exc).__name__}: {exc}); unoptimized launch "
-                    "plan substituted"
+                reason = f"{type(exc).__name__}: {exc}"
+                degrade(
+                    "unoptimized_plan", index, reason,
+                    f"optimizer failed ({reason}); unoptimized launch plan "
+                    "substituted",
                 )
             decisions.append(decision)
 

@@ -594,10 +594,9 @@ class FleetRouter(Admission):
         stored = self.store.get(digest) if self.store is not None else None
         if stored is None:
             return None
-        payload = stored.to_dict()
-        self.lru.put(digest, payload)
+        self.lru.put(digest, stored)
         self._count("store_hits")
-        return payload, SERVED_BY_STORE
+        return stored, SERVED_BY_STORE
 
     def _execute(self, job: Job) -> CompileOutcome:
         """Walk the ring for the job's digest, then account for where

@@ -305,7 +305,7 @@ class _Handler(BaseHTTPRequestHandler):
             store = self.server.service.store
             artifact = store.get(digest) if store is not None else None
             if artifact is not None:
-                self._send(200, artifact.to_dict())
+                self._send(200, artifact)
                 return
             # Recipes are content-addressed in the same namespace: a
             # digest that names no compile artifact may name the

@@ -15,8 +15,11 @@ pipeline-version bump discards the whole file (the keys fingerprint
 constraint *values*, not pipeline behavior, so a behavior change must
 invalidate wholesale).
 
-Load is defensive — a corrupt, truncated, or version-skewed file is
-deleted and ignored; the cost is re-searching, never an error.
+Save goes through the store's one atomic writer
+(:func:`~repro.service.store.atomic_write`), so a crash mid-save leaves
+the previous snapshot, never a torn one.  Load is defensive — a corrupt,
+truncated, or version-skewed file is deleted and ignored; the cost is
+re-searching, never an error.
 
 Trust boundary: ``--cache-dir`` is written by the service itself and
 must not be pointed at untrusted data (e.g. a directory checked out
@@ -34,12 +37,12 @@ from __future__ import annotations
 import io
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Dict
 
 from ..analysis.cache import get_search_cache
 from ..ir.serialize import PIPELINE_VERSION
+from .store import atomic_write
 
 #: Bumped on any incompatible memo-file change; the loader checks it.
 #: Version 2: search results carry ``ranked``.
@@ -80,25 +83,12 @@ def _restricted_load(handle: io.BufferedReader) -> Any:
 def save_memo(cache_dir: str) -> Path:
     """Persist the search memo's snapshot; returns the file path."""
     path = memo_path(cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": MEMO_VERSION,
         "pipeline_version": PIPELINE_VERSION,
         "search": get_search_cache().snapshot(),
     }
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=".tmp-memo-", suffix=".pkl"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     return path
 
 

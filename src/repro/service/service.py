@@ -10,7 +10,7 @@ single-flight join, bounded queue) and adds only its own work::
       run the pipeline under a per-request Budget (conservative fallback
         on exhaustion — one pathological program degrades itself, it
         does not stall the queue)
-      persist the artifact (and its recipe)
+      persist the artifact (the store files its recipe too)
 
 Three cache layers cooperate: the in-memory sweep memo
 (:mod:`repro.analysis.cache`, restored from disk via
@@ -160,7 +160,7 @@ class CompileService(Admission):
         if artifact is None:
             return None
         self._count("cache_hits")
-        return artifact.to_dict(), None
+        return artifact, None
 
     def _execute(self, job: Job) -> CompileOutcome:
         # Deadline enforcement at the admission queue: a job whose
@@ -192,9 +192,7 @@ class CompileService(Admission):
                 metrics.counter("service.cache.hits").inc()
                 metrics.counter("service.cache.late_hits").inc()
                 return CompileOutcome(
-                    digest=job.digest,
-                    status=STATUS_HIT,
-                    artifact=artifact.to_dict(),
+                    digest=job.digest, status=STATUS_HIT, artifact=artifact
                 )
         with get_tracer().span(
             "service.execute",
@@ -205,11 +203,6 @@ class CompileService(Admission):
             artifact = self._compile_fn(job.request, job.digest)
         if self.store is not None:
             self.store.put(artifact)
-            if artifact.recipe is not None:
-                # Content-addressed by its own digest: serves
-                # GET /v1/artifacts/<recipe_digest> and survives
-                # artifact eviction.
-                self.store.put_recipe(artifact.recipe)
         return CompileOutcome(
             digest=job.digest, status=STATUS_MISS, artifact=artifact.to_dict()
         )

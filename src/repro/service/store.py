@@ -1,18 +1,21 @@
 """Persistent content-addressed artifact store.
 
-Artifacts live under ``<root>/objects/<digest[:2]>/<digest>.json``, one
-self-contained JSON file per compilation, keyed by the canonical digest
-of (IR, device, flags, strategy, sizes, pipeline version) from
-:func:`repro.ir.serialize.compile_digest`.  Because the key covers the
-pipeline version, a behavior-changing release invalidates every stale
-artifact by construction — no sweep needed — and because each object is
-written atomically (``os.replace`` of a same-directory temp file), a
-crashed writer can never leave a half-written artifact that a reader
-would trust.
+Artifacts live under ``<root>/objects/<digest[:2]>/<digest>.json``, keyed
+by :func:`repro.ir.serialize.compile_digest` (IR, device, flags,
+strategy, sizes, pipeline version), so a behavior-changing release
+invalidates every stale artifact by construction.  Recipes live under
+``<root>/recipes/``, keyed by their own content digest; :meth:`put`
+files an artifact's recipe before the artifact.
 
-Reads are defensive: a corrupt, truncated, version-skewed, or
-digest-mismatched object is treated as a miss and quarantined (deleted),
-so one bad file costs a recompile, not an error.
+Every object file is the SHA-256 hex of its body, a newline, then the
+body: the :func:`~repro.ir.serialize.canonical_json` of the document.
+One writer (:func:`atomic_write`) writes it; one reader serves a
+document only if the body hashes to the header, is a JSON object, and
+is what its name says (an artifact of :data:`ARTIFACT_VERSION` for that
+digest, or a recipe hashing to it).  Anything else is quarantined
+(deleted) with a reason from :data:`QUARANTINE_REASONS`, an event and a
+``service.store.quarantined`` count, and read as a miss: one bad file
+costs a recompile, never an error and never a served edit.
 """
 
 from __future__ import annotations
@@ -25,23 +28,59 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..ir.serialize import PIPELINE_VERSION
+from ..ir.serialize import PIPELINE_VERSION, canonical_json, content_digest
 
 #: Bumped on any incompatible artifact-layout change; loaders check it.
 ARTIFACT_VERSION = 1
 
+#: Why a read refused an object file (the ``reason`` of its
+#: ``quarantine`` event).
+QUARANTINE_REASONS = (
+    "hash_mismatch", "not_object", "version_skew", "digest_mismatch",
+    "unreadable",
+)
+
 #: The only shape a content address can take: a lowercase hex SHA-256.
 #: Everything the store touches on disk derives from a digest, so this
 #: is also the path-safety boundary — a digest that matches cannot name
-#: anything outside ``<root>/objects``.
+#: anything outside the store's trees.
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def is_valid_digest(digest: Any) -> bool:
     """Whether ``digest`` is a well-formed content address."""
     return isinstance(digest, str) and _DIGEST_RE.fullmatch(digest) is not None
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` atomically: a temp file in the
+    target directory, then ``os.replace`` (the temp file is unlinked on
+    failure).  A reader sees the old file or the new one, never a torn
+    write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _encode(document: Dict[str, Any]) -> Tuple[str, bytes]:
+    """An object file's bytes, ``<sha256 of body>\\n<body>``, and the
+    hash (the document's content digest)."""
+    body = canonical_json(document).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest()
+    return digest, digest.encode("ascii") + b"\n" + body
 
 
 @dataclass
@@ -93,33 +132,6 @@ class CompileArtifact:
             "created_at": self.created_at,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CompileArtifact":
-        version = data.get("version")
-        if version != ARTIFACT_VERSION:
-            raise ValueError(
-                f"artifact version {version!r} is not supported "
-                f"(expected {ARTIFACT_VERSION})"
-            )
-        return cls(
-            digest=data["digest"],
-            program=data.get("program", ""),
-            strategy=data.get("strategy", ""),
-            device=data.get("device", ""),
-            sizes={k: int(v) for k, v in (data.get("sizes") or {}).items()},
-            flags=dict(data.get("flags") or {}),
-            pipeline_version=int(data.get("pipeline_version", 0)),
-            mappings=list(data.get("mappings") or []),
-            cuda_source=data.get("cuda_source", ""),
-            cost=dict(data.get("cost") or {}),
-            degradations=list(data.get("degradations") or []),
-            provenance=data.get("provenance"),
-            recipe=data.get("recipe"),
-            recipe_digest=data.get("recipe_digest"),
-            compile_ms=float(data.get("compile_ms", 0.0)),
-            created_at=float(data.get("created_at", 0.0)),
-        )
-
 
 #: Artifact fields excluded from :func:`artifact_fingerprint`: wall-clock
 #: stamps differ run to run, and provenance embeds elapsed search time.
@@ -129,15 +141,8 @@ class CompileArtifact:
 FINGERPRINT_VOLATILE_KEYS = ("compile_ms", "created_at", "provenance")
 
 
-def _recipe_content_digest(data: Dict[str, Any]) -> str:
-    """The recipe's content address (mirrors ``Recipe.content_digest``)."""
-    from ..ir.serialize import canonical_json
-
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
-
-
 def artifact_fingerprint(artifact: Any) -> str:
-    """SHA-256 over an artifact's deterministic payload.
+    """Content digest of an artifact's deterministic payload.
 
     Accepts a :class:`CompileArtifact` or its ``to_dict`` form.  Two
     artifacts for the same compile digest must fingerprint identically
@@ -151,8 +156,7 @@ def artifact_fingerprint(artifact: Any) -> str:
     )
     for key in FINGERPRINT_VOLATILE_KEYS:
         data.pop(key, None)
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_digest(data)
 
 
 def build_artifact(
@@ -163,12 +167,15 @@ def build_artifact(
     """Extract the storable artifact from a
     :class:`~repro.runtime.session.CompiledProgram`.
 
-    The recipe and the provenance record only read what the compile
-    recorded (per-kernel recipes, the searches' rankings), so an error
-    while assembling them is a bug and escapes: an artifact is never
-    stored with either part silently missing.
+    The cost is checked: a non-finite component raises a typed
+    :class:`~repro.errors.SimulationError`, so a poisoned estimate is an
+    error outcome and never a stored artifact.  The recipe and the
+    provenance record only read what the compile recorded (per-kernel
+    recipes, the searches' rankings), so an error while assembling them
+    is a bug and escapes: an artifact is never stored with either part
+    silently missing.
     """
-    cost = compiled.estimate_cost()
+    cost = compiled.estimate_cost(check=True)
     cost_dict = {
         "total_us": cost.total_us,
         "kernels": [
@@ -206,68 +213,137 @@ class ArtifactStore:
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
-        # Recipes live in their own content-addressed subtree: ``get()``
-        # quarantines anything under objects/ that does not parse as a
-        # CompileArtifact, so recipe JSON must never share that tree.
+        # Recipes get their own subtree: the reader checks each tree's
+        # files against that tree's rules.
         self.recipes = self.root / "recipes"
         self.recipes.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, digest: str) -> Path:
+    @staticmethod
+    def _file(tree: Path, digest: str) -> Path:
         if not is_valid_digest(digest):
-            raise ValueError(f"malformed artifact digest {digest!r}")
-        return self.objects / digest[:2] / f"{digest}.json"
+            raise ValueError(f"malformed digest {digest!r}")
+        return tree / digest[:2] / f"{digest}.json"
+
+    def _path(self, digest: str) -> Path:
+        return self._file(self.objects, digest)
 
     def _recipe_path(self, digest: str) -> Path:
-        if not is_valid_digest(digest):
-            raise ValueError(f"malformed recipe digest {digest!r}")
-        return self.recipes / digest[:2] / f"{digest}.json"
+        return self._file(self.recipes, digest)
 
-    def get(self, digest: str) -> Optional[CompileArtifact]:
-        """The stored artifact, or ``None`` (missing / corrupt / stale).
-
-        A malformed digest (wire input is untrusted) is a miss, never a
-        filesystem access.
-        """
-        if not is_valid_digest(digest):
-            return None
-        path = self._path(digest)
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            artifact = CompileArtifact.from_dict(data)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            return None
-        if artifact.digest != digest:
-            self._quarantine(path)
-            return None
-        return artifact
+    # -- the one writer and the one reader --------------------------------
 
     def put(self, artifact: CompileArtifact) -> Path:
-        """Atomically persist one artifact; returns its path.
-
-        Raises :class:`ValueError` on a malformed digest rather than
-        writing outside the objects tree.
-        """
+        """Persist one artifact, after the recipe it embeds; returns the
+        artifact's path.  Raises :class:`ValueError`, writing nothing, on
+        a malformed digest or a ``recipe_digest`` that is not the
+        embedded recipe's content digest."""
         path = self._path(artifact.digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
+        recipe_digest, recipe_bytes = (
+            (None, None) if artifact.recipe is None
+            else _encode(artifact.recipe)
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(artifact.to_dict(), handle, indent=2)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        if artifact.recipe_digest != recipe_digest:
+            raise ValueError(
+                f"artifact {artifact.digest} names recipe "
+                f"{artifact.recipe_digest!r}, but its recipe hashes to "
+                f"{recipe_digest!r}"
+            )
+        if recipe_bytes is not None:
+            atomic_write(self._recipe_path(recipe_digest), recipe_bytes)
+        atomic_write(path, _encode(artifact.to_dict())[1])
         return path
+
+    def put_recipe(self, recipe) -> Path:
+        """Persist a :class:`~repro.optim.passes.recipe.Recipe` or its
+        ``to_json`` dict under its content digest; returns its path."""
+        data = recipe if isinstance(recipe, dict) else recipe.to_json()
+        digest, blob = _encode(data)
+        path = self._recipe_path(digest)
+        atomic_write(path, blob)
+        return path
+
+    def get(self, digest: str) -> Optional[Dict[str, Any]]:
+        """The verified artifact document, or ``None`` (missing, or
+        quarantined by the read).  A malformed digest (wire input is
+        untrusted) is a miss, never a filesystem access."""
+        return self._read(self.objects, digest)
+
+    def get_recipe(self, digest: str) -> Optional[Dict[str, Any]]:
+        """The verified recipe JSON, or ``None`` (missing, or quarantined
+        by the read)."""
+        return self._read(self.recipes, digest)
+
+    def _read(self, tree: Path, digest: str) -> Optional[Dict[str, Any]]:
+        # The one reader; its checks are listed in the module docstring.
+        if not is_valid_digest(digest):
+            return None
+        path = self._file(tree, digest)
+        try:
+            header, _, body = path.read_bytes().partition(b"\n")
+        except FileNotFoundError:
+            return None
+        except OSError:
+            return self._quarantine(path, tree, "unreadable")
+        hashed = hashlib.sha256(body).hexdigest()
+        if hashed.encode("ascii") != header:
+            return self._quarantine(path, tree, "hash_mismatch")
+        try:
+            document = json.loads(body)
+        except ValueError:
+            document = None
+        if not isinstance(document, dict):
+            return self._quarantine(path, tree, "not_object")
+        if tree is self.recipes:
+            named = hashed
+        elif document.get("version") != ARTIFACT_VERSION:
+            return self._quarantine(path, tree, "version_skew")
+        else:
+            named = document.get("digest")
+        if named != digest:
+            return self._quarantine(path, tree, "digest_mismatch")
+        return document
+
+    def _quarantine(self, path: Path, tree: Path, reason: str) -> None:
+        # Only ever unlink inside the tree that was read, no matter what
+        # path was computed upstream: quarantine deletes cache entries,
+        # never arbitrary files the process happens to be able to write.
+        # Returns None, which the reader hands on as a miss.
+        from ..observability import emit_event, get_metrics
+
+        emit_event(
+            "quarantine", artifact=path.name, reason=reason, tree=tree.name
+        )
+        get_metrics().counter("service.store.quarantined").inc()
+        try:
+            resolved = path.resolve()
+            if tree.resolve() not in resolved.parents:
+                return
+            os.unlink(resolved)
+        except OSError:
+            pass
+
+    # -- listing ----------------------------------------------------------
+
+    @staticmethod
+    def _entries(tree: Path) -> Iterator[Path]:
+        """Every object file in ``tree``, in digest order (no parse;
+        in-progress temp files skipped)."""
+        if not tree.is_dir():
+            return
+        for shard in sorted(tree.iterdir()):
+            if not shard.is_dir():
+                continue
+            for entry in sorted(shard.glob("*.json")):
+                if not entry.name.startswith(".tmp-"):
+                    yield entry
+
+    def digests(self) -> Iterator[str]:
+        """Every stored artifact digest."""
+        return (entry.stem for entry in self._entries(self.objects))
+
+    def recipe_digests(self) -> Iterator[str]:
+        """Every stored recipe digest."""
+        return (entry.stem for entry in self._entries(self.recipes))
 
     def delete(self, digest: str) -> bool:
         if not is_valid_digest(digest):
@@ -278,97 +354,9 @@ class ArtifactStore:
         except OSError:
             return False
 
-    def put_recipe(self, recipe) -> Path:
-        """Atomically persist one transformation recipe; returns its path.
-
-        Accepts a :class:`~repro.optim.passes.recipe.Recipe` or its
-        ``to_json`` dict; the on-disk name is the recipe's own content
-        digest, so identical pipelines share one object.
-        """
-        data = recipe if isinstance(recipe, dict) else recipe.to_json()
-        digest = _recipe_content_digest(data)
-        path = self._recipe_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(data, handle, indent=2)
-                handle.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def get_recipe(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The stored recipe JSON, or ``None`` (missing / corrupt).
-
-        Defensive like :meth:`get`: a recipe that does not parse or whose
-        content hash no longer matches its name is quarantined.
-        """
-        if not is_valid_digest(digest):
-            return None
-        path = self._recipe_path(digest)
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            if _recipe_content_digest(data) != digest:
-                raise ValueError("recipe content digest mismatch")
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(path, self.recipes)
-            return None
-        return data
-
-    def recipe_digests(self) -> Iterator[str]:
-        """Every stored recipe digest (no parse)."""
-        if not self.recipes.is_dir():
-            return
-        for shard in sorted(self.recipes.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.glob("*.json")):
-                if not entry.name.startswith(".tmp-"):
-                    yield entry.stem
-
-    def _quarantine(self, path: Path, root: Optional[Path] = None) -> None:
-        # Only ever unlink inside the store's own trees, no matter what
-        # path was computed upstream: quarantine deletes cache entries,
-        # never arbitrary files the process happens to be able to write.
-        from ..observability import emit_event
-
-        emit_event("quarantine", artifact=path.name)
-        try:
-            resolved = path.resolve()
-            tree_root = (root if root is not None else self.objects).resolve()
-            if tree_root not in resolved.parents:
-                return
-            os.unlink(resolved)
-        except OSError:
-            pass
-
-    def digests(self) -> Iterator[str]:
-        """Every stored digest (no artifact parse)."""
-        for shard in sorted(self.objects.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.glob("*.json")):
-                if not entry.name.startswith(".tmp-"):
-                    yield entry.stem
-
     def clear(self) -> int:
         """Drop every artifact; returns the number removed."""
-        removed = 0
-        for digest in list(self.digests()):
-            if self.delete(digest):
-                removed += 1
-        return removed
+        return sum(self.delete(digest) for digest in list(self.digests()))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.digests())
@@ -376,17 +364,12 @@ class ArtifactStore:
     def stats(self) -> Dict[str, Any]:
         artifacts = 0
         total_bytes = 0
-        for shard in self.objects.iterdir() if self.objects.is_dir() else ():
-            if not shard.is_dir():
-                continue
-            for entry in shard.glob("*.json"):
-                if entry.name.startswith(".tmp-"):
-                    continue
-                artifacts += 1
-                try:
-                    total_bytes += entry.stat().st_size
-                except OSError:
-                    pass
+        for entry in self._entries(self.objects):
+            artifacts += 1
+            try:
+                total_bytes += entry.stat().st_size
+            except OSError:
+                pass
         return {
             "root": str(self.root),
             "artifacts": artifacts,

@@ -52,6 +52,24 @@ def make_sum_weighted_cols():
 
 
 @pytest.fixture
+def events():
+    """``events(kind)``: the structured events of ``kind`` emitted into
+    the process-wide log since the test started."""
+    from repro.observability import get_event_log
+
+    log = get_event_log()
+    mark = log.snapshot()["next_seq"]
+
+    def since(kind):
+        return [
+            event for event in log.snapshot(since=mark - 1)["events"]
+            if event["kind"] == kind
+        ]
+
+    return since
+
+
+@pytest.fixture
 def sum_rows_program():
     return make_sum_rows()
 

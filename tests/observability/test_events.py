@@ -99,3 +99,29 @@ class TestProcessSingleton:
             and e.get("artifact") == "deadbeef.json"
             for e in fresh
         )
+
+
+class TestDegradationEvents:
+    """Each degradation note comes with an event and a counter."""
+
+    @pytest.mark.parametrize(
+        "stage, kind",
+        [("search", "fallback_mapping"), ("optimizer", "unoptimized_plan")],
+    )
+    def test_one_event_and_counter_per_degradation(
+        self, sum_cols_program, events, stage, kind
+    ):
+        from repro import GpuSession
+        from repro.observability import capture
+        from repro.resilience.faults import FaultPlan, inject_faults
+
+        with capture() as obs, inject_faults(FaultPlan.single(stage)):
+            compiled = GpuSession().compile(sum_cols_program, R=128, C=128)
+        assert len(compiled.degradations) == 1
+        (event,) = events(kind)
+        assert event["program"] == "sumCols"
+        assert event["kernel"] == 0
+        assert "InjectedFaultError" in event["reason"]
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters[f"resilience.degradation.{kind}"] == 1
+        assert counters["resilience.degradation.activations"] == 1

@@ -90,14 +90,6 @@ class TestArtifactRecipeFields:
         assert artifact.recipe == recipe.to_json()
         assert artifact.recipe_digest == recipe.content_digest()
 
-    def test_round_trips_through_dict(self, compiled_sum_rows):
-        from repro.service.store import CompileArtifact
-
-        artifact = build_artifact("cd" * 32, compiled_sum_rows, compile_ms=5.0)
-        clone = CompileArtifact.from_dict(artifact.to_dict())
-        assert clone.recipe == artifact.recipe
-        assert clone.recipe_digest == artifact.recipe_digest
-
 
 class TestServiceStoresRecipes:
     def test_compile_persists_recipe(self, tmp_path):
@@ -110,9 +102,9 @@ class TestServiceStoresRecipes:
             )
             artifact = service.store.get(outcome.digest)
             assert artifact is not None
-            assert artifact.recipe_digest
-            stored = service.store.get_recipe(artifact.recipe_digest)
-            assert stored == artifact.recipe
+            assert artifact["recipe_digest"]
+            stored = service.store.get_recipe(artifact["recipe_digest"])
+            assert stored == artifact["recipe"]
             assert stored["kind"] == "recipe"
         finally:
             service.close()
