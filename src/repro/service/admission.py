@@ -51,6 +51,7 @@ from .api import (
     CompileOutcome,
     CompileRequest,
 )
+from .store import StoredDocument
 
 #: Recent request latencies kept for the ``stats()`` quantiles.
 _LATENCY_WINDOW = 4096
@@ -213,8 +214,9 @@ class Admission:
 
     def _lookup(
         self, digest: str
-    ) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
-        """``(artifact payload, served_by)`` from a cache tier, or ``None``."""
+    ) -> Optional[Tuple[StoredDocument, Optional[str]]]:
+        """``(artifact document, served_by)`` from a cache tier, or
+        ``None``."""
         raise NotImplementedError
 
     def _execute(self, job: Job) -> CompileOutcome:

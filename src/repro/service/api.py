@@ -13,7 +13,10 @@ follows compiles exactly that program without resolving again.
 A :class:`CompileOutcome` is what a requester gets back: the digest, how
 the request was served (``hit`` / ``miss`` / ``coalesced`` / ``error``),
 the artifact on success, and a typed error — carrying the replayable
-failure report when one was attached — on failure.
+failure report when one was attached — on failure.  The artifact travels
+as a :class:`~repro.service.store.StoredDocument`, and
+:meth:`CompileOutcome.to_json_bytes` splices its body into the response
+without parsing or re-encoding it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..errors import RuntimeConfigError
+from ..errors import IRError, RuntimeConfigError
 from ..gpusim.device import DEVICES, GpuDevice, default_device
 from ..ir.patterns import Program
 from ..ir.serialize import (
@@ -34,6 +37,7 @@ from ..ir.serialize import (
     program_to_dict,
 )
 from ..optim.pipeline import OptimizationFlags
+from .store import StoredDocument
 
 #: How one request was served.
 STATUS_HIT = "hit"                # served from the artifact store
@@ -161,9 +165,17 @@ class CompileRequest:
             raise RuntimeConfigError("'trace_id' must be a string")
         if parent_span_id is not None and not isinstance(parent_span_id, str):
             raise RuntimeConfigError("'parent_span_id' must be a string")
+        for name in ("app", "device"):
+            if data.get(name) is not None and not isinstance(data[name], str):
+                raise RuntimeConfigError(f"'{name}' must be a string")
+        program_ir = data.get("program_ir")
+        if program_ir is not None and not isinstance(program_ir, dict):
+            raise RuntimeConfigError(
+                "'program_ir' must be an object (a serialized program)"
+            )
         return cls(
             app=data.get("app"),
-            program_ir=data.get("program_ir"),
+            program_ir=program_ir,
             sizes=sizes,
             strategy=str(data.get("strategy", "multidim")),
             device=data.get("device"),
@@ -230,7 +242,13 @@ class CompileRequest:
             program = app.build()
             sizes = merge_params(app, self.sizes)
         else:
-            program = program_from_dict(self.program_ir)
+            try:
+                program = program_from_dict(self.program_ir)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # A field missing, or of the wrong JSON type or shape.
+                raise IRError(
+                    f"malformed program_ir: {type(exc).__name__}: {exc}"
+                )
             sizes = dict(self.sizes)
         return program, device, sizes
 
@@ -332,22 +350,46 @@ class CompileError:
         )
 
 
-@dataclass
 class CompileOutcome:
-    """What the service hands back for one request."""
+    """What the service hands back for one request.
 
-    digest: str
-    status: str
-    artifact: Optional[Dict[str, Any]] = None
-    error: Optional[CompileError] = None
-    #: Wall time from admission to completion, as observed server-side.
-    latency_ms: float = 0.0
-    #: Which fleet backend produced this outcome (``None`` when it was
-    #: served by a single-process service or a router cache tier).
-    served_by: Optional[str] = None
-    #: The distributed trace this request was recorded under; feed it to
-    #: ``repro fleet trace <trace_id>`` for the stitched timeline.
-    trace_id: Optional[str] = None
+    ``artifact`` may be given as a dict or as a
+    :class:`~repro.service.store.StoredDocument`; each form is derived
+    from the other on first use.  :attr:`document` is the body-bytes
+    form the wire and the router LRU carry, and :attr:`artifact` is a
+    plain dict.
+    """
+
+    def __init__(
+        self,
+        digest: str,
+        status: str,
+        artifact: Optional[Mapping[str, Any]] = None,
+        error: Optional[CompileError] = None,
+        latency_ms: float = 0.0,
+        served_by: Optional[str] = None,
+        trace_id: Optional[str] = None,
+    ) -> None:
+        self.digest = digest
+        self.status = status
+        self.error = error
+        #: Wall time from admission to completion, as observed server-side.
+        self.latency_ms = latency_ms
+        #: Which fleet backend produced this outcome (``None`` when it was
+        #: served by a single-process service or a router cache tier).
+        self.served_by = served_by
+        #: The distributed trace this request was recorded under; feed it
+        #: to ``repro fleet trace <trace_id>`` for the stitched timeline.
+        self.trace_id = trace_id
+        stored = isinstance(artifact, StoredDocument)
+        self._document: Optional[StoredDocument] = artifact if stored else None
+        self._artifact: Optional[Dict[str, Any]] = None if stored else artifact
+
+    def __repr__(self) -> str:
+        return (
+            f"CompileOutcome(digest={self.digest!r}, status={self.status!r}, "
+            f"error={self.error!r}, served_by={self.served_by!r})"
+        )
 
     @property
     def ok(self) -> bool:
@@ -357,14 +399,28 @@ class CompileOutcome:
     def cached(self) -> bool:
         return self.status == STATUS_HIT
 
-    def to_dict(self) -> Dict[str, Any]:
+    @property
+    def document(self) -> Optional[StoredDocument]:
+        """The artifact as canonical JSON bytes (encoded from the dict
+        form at most once)."""
+        if self._document is None and self._artifact is not None:
+            self._document = StoredDocument.encode(self._artifact)
+        return self._document
+
+    @property
+    def artifact(self) -> Optional[Dict[str, Any]]:
+        """The artifact as a plain dict (parsed from the body at most
+        once, leaving a shared document unparsed)."""
+        if self._artifact is None and self._document is not None:
+            self._artifact = self._document.to_dict()
+        return self._artifact
+
+    def _envelope(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "digest": self.digest,
             "status": self.status,
             "latency_ms": self.latency_ms,
         }
-        if self.artifact is not None:
-            data["artifact"] = self.artifact
         if self.error is not None:
             data["error"] = self.error.to_dict()
         if self.served_by is not None:
@@ -372,6 +428,22 @@ class CompileOutcome:
         if self.trace_id is not None:
             data["trace_id"] = self.trace_id
         return data
+
+    def to_dict(self) -> Dict[str, Any]:
+        data = self._envelope()
+        if self.artifact is not None:
+            data["artifact"] = self.artifact
+        return data
+
+    def to_json_bytes(self) -> bytes:
+        """:meth:`to_dict` as JSON bytes, with the document's body
+        spliced in verbatim as the ``artifact`` value."""
+        envelope = json.dumps(self._envelope()).encode("utf-8")
+        document = self.document
+        if document is None:
+            return envelope
+        # The envelope always has keys, so it ends in "}" after a value.
+        return envelope[:-1] + b', "artifact": ' + document.body + b"}"
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CompileOutcome":

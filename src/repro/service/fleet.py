@@ -93,7 +93,7 @@ from .api import STATUS_ERROR, CompileOutcome, CompileRequest
 from .client import ServiceClient
 from .router import HashRing, LRUCache
 from .service import CompileService, ServiceConfig
-from .store import ArtifactStore, CompileArtifact
+from .store import ArtifactStore, CompileArtifact, StoredDocument
 
 #: ``served_by`` stamps for outcomes the router answered itself.
 SERVED_BY_LRU = "router:lru"
@@ -585,7 +585,7 @@ class FleetRouter(Admission):
 
     def _lookup(
         self, digest: str
-    ) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
+    ) -> Optional[Tuple[StoredDocument, Optional[str]]]:
         artifact = self.lru.get(digest)
         if artifact is not None:
             self._count("lru_hits")
@@ -607,8 +607,10 @@ class FleetRouter(Admission):
         outcome = self._failover_walk(job, order, causes)
         if outcome.ok:
             self._count("completed")
-            if outcome.artifact is not None:
-                self.lru.put(job.digest, outcome.artifact)
+            # Body bytes only, whatever the backend handed back: an
+            # HttpBackend's decoded dict is encoded here, once.
+            if outcome.document is not None:
+                self.lru.put(job.digest, outcome.document)
         served = outcome.served_by
         if served not in self.backends:
             return outcome

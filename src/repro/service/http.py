@@ -35,6 +35,10 @@ Endpoints (all under ``/v1``):
 ``/v1/cache/clear``      POST    drop every stored artifact
 =======================  ======  ==========================================
 
+A compile response's ``artifact`` and a ``/v1/artifacts`` body are the
+stored canonical JSON, sent as the bytes the store verified (see
+:meth:`~repro.service.api.CompileOutcome.to_json_bytes`).
+
 Status mapping: 200 success (hit or miss), 400 malformed request
 (``RuntimeConfigError``/``IRError``), 422 typed pipeline failure (the
 body carries the error and its replayable failure report), 503 +
@@ -127,7 +131,17 @@ class _Handler(BaseHTTPRequestHandler):
         payload: Dict[str, Any],
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_bytes(
+            status, json.dumps(payload).encode("utf-8"), extra_headers
+        )
+
+    def _send_bytes(
+        self,
+        status: int,
+        body: bytes,
+        extra_headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Send ``body``, already-encoded JSON: the one send path."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -302,17 +316,18 @@ class _Handler(BaseHTTPRequestHandler):
                     "message": f"malformed artifact digest {digest!r}",
                 })
                 return
+            # The verified body goes out verbatim.  Recipes are
+            # content-addressed in the same namespace: a digest that
+            # names no compile artifact may name the transformation
+            # recipe one of them recorded.
             store = self.server.service.store
-            artifact = store.get(digest) if store is not None else None
-            if artifact is not None:
-                self._send(200, artifact)
-                return
-            # Recipes are content-addressed in the same namespace: a
-            # digest that names no compile artifact may name the
-            # transformation recipe one of them recorded.
-            recipe = store.get_recipe(digest) if store is not None else None
-            if recipe is not None:
-                self._send(200, recipe)
+            document = None
+            if store is not None:
+                document = store.get(digest)
+                if document is None:
+                    document = store.get_recipe(digest)
+            if document is not None:
+                self._send_bytes(200, document.body)
                 return
             self._send(404, {
                 "error_type": "NotFound",
@@ -372,9 +387,9 @@ class _Handler(BaseHTTPRequestHandler):
                 outcome.error is not None
                 and outcome.error.error_type == "DeadlineExceededError"
             )
-            self._send(504 if shed else 422, outcome.to_dict())
+            self._send_bytes(504 if shed else 422, outcome.to_json_bytes())
             return
-        self._send(200, outcome.to_dict())
+        self._send_bytes(200, outcome.to_json_bytes())
 
 
 def serve_forever(server: ServiceHTTPServer) -> None:

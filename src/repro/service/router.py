@@ -146,9 +146,12 @@ class HashRing:
 class LRUCache:
     """Thread-safe digest-keyed LRU with hit/miss/eviction accounting.
 
-    Values are artifact payload dicts (already JSON-shaped); the cache
-    never mutates them and callers must not either — entries are shared
-    across requests.
+    The fleet router stores body-only
+    :class:`~repro.service.store.StoredDocument` values: an artifact's
+    canonical JSON bytes, which a hit splices into the response as they
+    are (about a third of the memory of the parsed dict).  Entries are
+    shared across requests; the cache never mutates them and callers
+    must not either.
     """
 
     def __init__(self, capacity: int) -> None:

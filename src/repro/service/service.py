@@ -10,7 +10,8 @@ single-flight join, bounded queue) and adds only its own work::
       run the pipeline under a per-request Budget (conservative fallback
         on exhaustion — one pathological program degrades itself, it
         does not stall the queue)
-      persist the artifact (the store files its recipe too)
+      persist the artifact (the store files its recipe too) and hand on
+        the body it wrote
 
 Three cache layers cooperate: the in-memory sweep memo
 (:mod:`repro.analysis.cache`, restored from disk via
@@ -36,7 +37,12 @@ from ..resilience.budget import Budget
 from .admission import Admission, Job, Ticket
 from .api import STATUS_HIT, STATUS_MISS, CompileOutcome, CompileRequest
 from .memo import load_memo, save_memo
-from .store import ArtifactStore, CompileArtifact, build_artifact
+from .store import (
+    ArtifactStore,
+    CompileArtifact,
+    StoredDocument,
+    build_artifact,
+)
 
 
 @dataclass
@@ -155,7 +161,7 @@ class CompileService(Admission):
 
     def _lookup(
         self, digest: str
-    ) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
+    ) -> Optional[Tuple[StoredDocument, Optional[str]]]:
         artifact = self.store.get(digest) if self.store is not None else None
         if artifact is None:
             return None
@@ -204,7 +210,7 @@ class CompileService(Admission):
         if self.store is not None:
             self.store.put(artifact)
         return CompileOutcome(
-            digest=job.digest, status=STATUS_MISS, artifact=artifact.to_dict()
+            digest=job.digest, status=STATUS_MISS, artifact=artifact.document()
         )
 
     def _default_compile(

@@ -16,6 +16,14 @@ digest, or a recipe hashing to it).  Anything else is quarantined
 (deleted) with a reason from :data:`QUARANTINE_REASONS`, an event and a
 ``service.store.quarantined`` count, and read as a miss: one bad file
 costs a recompile, never an error and never a served edit.
+
+Every read checks the header.  The parse-based checks depend only on
+the body bytes and the digest, so they run once per distinct body: the
+reader remembers the hash of the last body that passed them for each
+digest (at most :data:`VERIFIED_CAPACITY` of them), and a read whose
+body hashes to that entry skips them.  A hit hands on a
+:class:`StoredDocument`: the verified body bytes, parsed only when a
+caller reads a key, so the HTTP layer serves them verbatim.
 """
 
 from __future__ import annotations
@@ -25,7 +33,10 @@ import json
 import os
 import re
 import tempfile
+import threading
 import time
+from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -41,6 +52,10 @@ QUARANTINE_REASONS = (
     "hash_mismatch", "not_object", "version_skew", "digest_mismatch",
     "unreadable",
 )
+
+#: How many verified body hashes one store remembers (one per digest
+#: and tree, about 200 B each); the oldest entry is dropped first.
+VERIFIED_CAPACITY = 4096
 
 #: The only shape a content address can take: a lowercase hex SHA-256.
 #: Everything the store touches on disk derives from a digest, so this
@@ -78,9 +93,54 @@ def atomic_write(path: Path, data: bytes) -> None:
 def _encode(document: Dict[str, Any]) -> Tuple[str, bytes]:
     """An object file's bytes, ``<sha256 of body>\\n<body>``, and the
     hash (the document's content digest)."""
-    body = canonical_json(document).encode("utf-8")
+    return _frame(canonical_json(document).encode("utf-8"))
+
+
+def _frame(body: bytes) -> Tuple[str, bytes]:
     digest = hashlib.sha256(body).hexdigest()
     return digest, digest.encode("ascii") + b"\n" + body
+
+
+class StoredDocument(Mapping):
+    """A read-only JSON object held as its canonical JSON ``body``.
+
+    The body is parsed on the first key access and the parse is kept;
+    :meth:`to_dict` parses a private copy instead, leaving a shared
+    document (a router LRU entry) holding bytes alone.  Compares equal
+    to the dict it encodes.
+    """
+
+    __slots__ = ("body", "_parsed")
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+        self._parsed: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def encode(cls, document: Dict[str, Any]) -> "StoredDocument":
+        """``document`` as a body-only :class:`StoredDocument`."""
+        return cls(canonical_json(document).encode("utf-8"))
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A fresh dict parsed from the body."""
+        return json.loads(self.body)
+
+    def _document(self) -> Dict[str, Any]:
+        if self._parsed is None:
+            self._parsed = self.to_dict()
+        return self._parsed
+
+    def __getitem__(self, key: str) -> Any:
+        return self._document()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._document())
+
+    def __len__(self) -> int:
+        return len(self._document())
+
+    def __repr__(self) -> str:
+        return f"StoredDocument({len(self.body)} bytes)"
 
 
 @dataclass
@@ -110,6 +170,9 @@ class CompileArtifact:
     recipe_digest: Optional[str] = None
     compile_ms: float = 0.0
     created_at: float = 0.0
+    _document: Optional[StoredDocument] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -132,6 +195,15 @@ class CompileArtifact:
             "created_at": self.created_at,
         }
 
+    def document(self) -> StoredDocument:
+        """:meth:`to_dict` as a :class:`StoredDocument`, encoded on the
+        first call: :meth:`ArtifactStore.put` writes its body and a miss
+        serves it, so a compile encodes its artifact once.  An artifact
+        is not edited after :func:`build_artifact` returns it."""
+        if self._document is None:
+            self._document = StoredDocument.encode(self.to_dict())
+        return self._document
+
 
 #: Artifact fields excluded from :func:`artifact_fingerprint`: wall-clock
 #: stamps differ run to run, and provenance embeds elapsed search time.
@@ -144,10 +216,10 @@ FINGERPRINT_VOLATILE_KEYS = ("compile_ms", "created_at", "provenance")
 def artifact_fingerprint(artifact: Any) -> str:
     """Content digest of an artifact's deterministic payload.
 
-    Accepts a :class:`CompileArtifact` or its ``to_dict`` form.  Two
-    artifacts for the same compile digest must fingerprint identically
-    regardless of who compiled them — the byte-identity contract the
-    fleet failover tests pin.
+    Accepts a :class:`CompileArtifact` or its ``to_dict`` form (a dict
+    or a :class:`StoredDocument`).  Two artifacts for the same compile
+    digest must fingerprint identically regardless of who compiled them
+    — the byte-identity contract the fleet failover tests pin.
     """
     data = (
         artifact.to_dict()
@@ -217,6 +289,10 @@ class ArtifactStore:
         # files against that tree's rules.
         self.recipes = self.root / "recipes"
         self.recipes.mkdir(parents=True, exist_ok=True)
+        #: ``(tree name, digest)`` -> header of the last body that
+        #: passed every check, oldest entry first.
+        self._verified: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
+        self._verified_lock = threading.Lock()
 
     @staticmethod
     def _file(tree: Path, digest: str) -> Path:
@@ -250,7 +326,7 @@ class ArtifactStore:
             )
         if recipe_bytes is not None:
             atomic_write(self._recipe_path(recipe_digest), recipe_bytes)
-        atomic_write(path, _encode(artifact.to_dict())[1])
+        atomic_write(path, _frame(artifact.document().body)[1])
         return path
 
     def put_recipe(self, recipe) -> Path:
@@ -262,18 +338,18 @@ class ArtifactStore:
         atomic_write(path, blob)
         return path
 
-    def get(self, digest: str) -> Optional[Dict[str, Any]]:
+    def get(self, digest: str) -> Optional[StoredDocument]:
         """The verified artifact document, or ``None`` (missing, or
         quarantined by the read).  A malformed digest (wire input is
         untrusted) is a miss, never a filesystem access."""
         return self._read(self.objects, digest)
 
-    def get_recipe(self, digest: str) -> Optional[Dict[str, Any]]:
+    def get_recipe(self, digest: str) -> Optional[StoredDocument]:
         """The verified recipe JSON, or ``None`` (missing, or quarantined
         by the read)."""
         return self._read(self.recipes, digest)
 
-    def _read(self, tree: Path, digest: str) -> Optional[Dict[str, Any]]:
+    def _read(self, tree: Path, digest: str) -> Optional[StoredDocument]:
         # The one reader; its checks are listed in the module docstring.
         if not is_valid_digest(digest):
             return None
@@ -284,24 +360,37 @@ class ArtifactStore:
             return None
         except OSError:
             return self._quarantine(path, tree, "unreadable")
-        hashed = hashlib.sha256(body).hexdigest()
-        if hashed.encode("ascii") != header:
+        hashed = hashlib.sha256(body).hexdigest().encode("ascii")
+        if hashed != header:
             return self._quarantine(path, tree, "hash_mismatch")
+        key = (tree.name, digest)
+        if self._verified.get(key) != hashed:
+            reason = self._check(tree, digest, body, hashed)
+            if reason is not None:
+                return self._quarantine(path, tree, reason)
+            with self._verified_lock:
+                self._verified[key] = hashed
+                while len(self._verified) > VERIFIED_CAPACITY:
+                    self._verified.popitem(last=False)
+        return StoredDocument(body)
+
+    def _check(
+        self, tree: Path, digest: str, body: bytes, hashed: bytes
+    ) -> Optional[str]:
+        """Why a correctly headed body is refused, or ``None``."""
         try:
             document = json.loads(body)
         except ValueError:
             document = None
         if not isinstance(document, dict):
-            return self._quarantine(path, tree, "not_object")
+            return "not_object"
         if tree is self.recipes:
-            named = hashed
+            named = hashed.decode("ascii")
         elif document.get("version") != ARTIFACT_VERSION:
-            return self._quarantine(path, tree, "version_skew")
+            return "version_skew"
         else:
             named = document.get("digest")
-        if named != digest:
-            return self._quarantine(path, tree, "digest_mismatch")
-        return document
+        return None if named == digest else "digest_mismatch"
 
     def _quarantine(self, path: Path, tree: Path, reason: str) -> None:
         # Only ever unlink inside the tree that was read, no matter what

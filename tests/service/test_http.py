@@ -6,10 +6,12 @@ import time
 import pytest
 
 from repro.errors import (
+    IRError,
     MappingError,
     QueueFullError,
     RuntimeConfigError,
     ServiceError,
+    exit_code_for,
 )
 from repro.service import (
     STATUS_HIT,
@@ -53,6 +55,16 @@ def served(tmp_path):
 
 def request(**sizes) -> CompileRequest:
     return CompileRequest(app="sumRows", sizes=sizes or {"R": 64, "C": 32})
+
+
+#: A well-formed serialized program: one constant, no parameters.
+CONST_PROGRAM = {
+    "name": "const",
+    "params": [],
+    "result": {
+        "n": "const", "value": 1.0, "ty": {"t": "scalar", "name": "f64"},
+    },
+}
 
 
 class TestEndpoints:
@@ -140,6 +152,50 @@ class TestErrorMapping:
         )
         assert status == 400
         assert data["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ({"app": 5}, RuntimeConfigError),
+            ({"app": ["x"]}, RuntimeConfigError),
+            ({"app": "sumRows", "device": 5}, RuntimeConfigError),
+            ({"program_ir": []}, RuntimeConfigError),
+            ({"program_ir": {}}, IRError),
+            ({"program_ir": "x"}, RuntimeConfigError),
+            ({"program_ir": {**CONST_PROGRAM, "array_shapes": [1]}}, IRError),
+            ({"program_ir": {**CONST_PROGRAM, "size_hints": [[1]]}}, IRError),
+        ],
+        ids=[
+            "app-int", "app-list", "device-int", "ir-list", "ir-empty",
+            "ir-str", "ir-shapes-list", "ir-hints-unpaired",
+        ],
+    )
+    def test_wrongly_typed_field_is_a_typed_400(self, served, body, error):
+        """A wrongly typed field is the client's fault: a typed 400, and
+        the keep-alive connection stays up for the next request."""
+        import http.client
+        import json
+
+        conn = http.client.HTTPConnection("127.0.0.1", served.port, timeout=30)
+
+        def post(payload):
+            conn.request(
+                "POST", "/v1/compile", body=json.dumps(payload),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            status, data = post(body)
+            assert status == 400, data
+            assert data["error_type"] == error.__name__
+            assert data["exit_code"] == exit_code_for(error("x"))
+            status, data = post(request().to_dict())
+            assert status == 200, data
+            assert data["status"] == STATUS_MISS
+        finally:
+            conn.close()
 
     def test_pipeline_failure_is_422_with_report(self, tmp_path):
         def failing(req, digest):
