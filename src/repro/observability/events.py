@@ -100,14 +100,6 @@ class EventLog:
                 "capacity": self.capacity,
             }
 
-    def counts_by_kind(self) -> Dict[str, int]:
-        """How many retained events of each kind (for stats surfaces)."""
-        with self._lock:
-            counts: Dict[str, int] = {}
-            for event in self._events:
-                counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-            return counts
-
     def clear(self) -> None:
         """Drop everything and reset counters (tests only)."""
         with self._lock:

@@ -24,7 +24,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
-    """A monotonically increasing value (int or float increments)."""
+    """An increasing value; the one decrement is a compile service's
+    late hit, which takes its miss back (``service.cache.misses`` -1)."""
 
     __slots__ = ("value", "_lock")
 

@@ -16,8 +16,10 @@ every serving layer admits a request the same way::
 
 :class:`Admission` owns that sequence once: tickets, jobs, the in-flight
 table with its deadline merge, the queue bound, the worker threads, the
-deadline-bounded :meth:`~Admission.compile` wait, shutdown, the counters
-and the latency histogram.  An owner supplies only its own work:
+deadline-bounded :meth:`~Admission.compile` wait, shutdown, and the
+counters and latency histogram, kept once in the owner's own registry
+(:attr:`Admission.metrics`) that ``stats()`` and ``/v1/metrics`` both
+read.  An owner supplies only its own work:
 :class:`~repro.service.service.CompileService` looks up the artifact
 store and runs the pipeline; :class:`~repro.service.fleet.FleetRouter`
 looks up its LRU and store and walks the hash ring.
@@ -41,7 +43,14 @@ from ..errors import (
     ServiceError,
     exit_code_for,
 )
-from ..observability import emit_event, get_metrics, get_tracer, new_trace_id
+from ..observability import (
+    MetricsRegistry,
+    emit_event,
+    get_metrics,
+    get_tracer,
+    merge_snapshots,
+    new_trace_id,
+)
 from .api import (
     STATUS_COALESCED,
     STATUS_ERROR,
@@ -177,11 +186,11 @@ class Admission:
     where_prefix = ""
     #: Stats key counting enqueued misses.
     miss_key = "misses"
-    #: Every counter this layer keeps: ``stats()`` key -> metric name
-    #: (``None`` for a stats-only counter).  Must include ``requests``,
-    #: ``coalesced``, ``errors``, ``queue_rejections``,
-    #: ``deadline_shed`` and :attr:`miss_key`.
-    counters: Dict[str, Optional[str]] = {}
+    #: Every counter this layer keeps: ``stats()`` key -> its metric
+    #: name in :attr:`metrics`, the one place the count lives.  Must
+    #: include ``requests``, ``coalesced``, ``errors``,
+    #: ``queue_rejections``, ``deadline_shed`` and :attr:`miss_key`.
+    counters: Dict[str, str] = {}
 
     def __init__(self, workers: int, queue_limit: int) -> None:
         if workers < 1:
@@ -198,7 +207,15 @@ class Admission:
         self._closed = False
         self._started_at = time.time()
         self._latencies_ms: "deque[float]" = deque(maxlen=_LATENCY_WINDOW)
-        self._counts = dict.fromkeys(self.counters, 0)
+        #: This owner's metrics: per instance, always recording, and
+        #: every counter changes under ``_lock``.
+        self.metrics = MetricsRegistry()
+        self._tallies = {
+            key: self.metrics.counter(name)
+            for key, name in self.counters.items()
+        }
+        self._queue_depth = self.metrics.gauge(f"{self.prefix}.queue.depth")
+        self._request_ms = self.metrics.histogram(f"{self.prefix}.request_ms")
         self._threads = [
             threading.Thread(
                 target=self._work,
@@ -302,9 +319,8 @@ class Admission:
                 key = "queue_rejections"
             # Counted inside the admission critical section, so the
             # counters never lag the in-flight table they describe.
-            self._counts[key] += 1
+            self._tallies[key].inc()
             depth = self._admitted
-        self._count_metric(key)
         if job is None:
             emit_event(
                 "queue_rejected",
@@ -319,7 +335,7 @@ class Admission:
                 "requests admitted); retry shortly"
             )
         if role == STATUS_MISS:
-            get_metrics().gauge(f"{self.prefix}.queue.depth").set(depth)
+            self._queue_depth.set(depth)
         # A coalesced waiter shares the running job's outcome, so it
         # shares that job's trace too.
         return Ticket(
@@ -378,7 +394,9 @@ class Admission:
     def _admission_stats(self) -> Dict[str, Any]:
         """The counters, queue state and latency quantiles of stats()."""
         with self._lock:
-            counts = dict(self._counts)
+            counts = {
+                key: counter.value for key, counter in self._tallies.items()
+            }
             admitted = self._admitted
             latencies = sorted(self._latencies_ms)
         return {
@@ -387,6 +405,19 @@ class Admission:
             "uptime_s": time.time() - self._started_at,
             **counts,
             "latency_ms": latency_summary(latencies),
+        }
+
+    def metrics_snapshot(self) -> Dict[str, Any]:
+        """The ``/v1/metrics`` snapshot: :attr:`metrics` merged with the
+        process registry (pipeline stages, caches, store) when that one
+        records.  The two share no metric name."""
+        process = get_metrics()
+        merged = merge_snapshots({
+            "owner": self.metrics.to_dict(),
+            "process": process.to_dict() if process.enabled else None,
+        })
+        return {
+            kind: merged[kind] for kind in ("counters", "gauges", "histograms")
         }
 
     def __enter__(self) -> "Admission":
@@ -455,7 +486,7 @@ class Admission:
             self._inflight.pop(job.digest, None)
             self._admitted -= 1
             admitted = self._admitted
-        get_metrics().gauge(f"{self.prefix}.queue.depth").set(admitted)
+        self._queue_depth.set(admitted)
         job.future.set_result(outcome)
 
     def _shed(
@@ -479,15 +510,9 @@ class Admission:
 
     # -- accounting ------------------------------------------------------
 
-    def _count(self, key: str) -> None:
+    def _count(self, key: str, amount: int = 1) -> None:
         with self._lock:
-            self._counts[key] += 1
-        self._count_metric(key)
-
-    def _count_metric(self, key: str) -> None:
-        metric = self.counters[key]
-        if metric is not None:
-            get_metrics().counter(metric).inc()
+            self._tallies[key].inc(amount)
 
     def _observe_latency(
         self, latency_ms: float, trace_id: Optional[str] = None
@@ -496,9 +521,7 @@ class Admission:
             self._latencies_ms.append(latency_ms)
         # The trace id rides along as the bucket's exemplar, so a slow
         # bucket in a snapshot resolves to a concrete request trace.
-        get_metrics().histogram(f"{self.prefix}.request_ms").observe(
-            latency_ms, exemplar=trace_id
-        )
+        self._request_ms.observe(latency_ms, exemplar=trace_id)
 
 
 def error_outcome(digest: str, exc: BaseException) -> CompileOutcome:

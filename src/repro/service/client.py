@@ -282,8 +282,11 @@ class ServiceClient:
     def metrics(self) -> Dict[str, Any]:
         """The ``/v1/metrics`` scrape payload.
 
-        ``{"enabled": bool, "metrics": ...}`` from a plain server; a
-        fleet front-end adds the merged fleet-wide aggregate.
+        ``{"enabled": true, "metrics": ...}`` from a plain server: the
+        counters ``/v1/stats`` reports, as registry metrics, merged with
+        the server's process registry.  A fleet front-end answers
+        ``{"enabled": true, "fleet": ...}``, the router's and every
+        backend's snapshot merged.
         """
         status, data = self._request("GET", "/v1/metrics")
         if status != 200:

@@ -44,7 +44,8 @@ without declaring death; typed pipeline errors are answers, not
 failures — they resolve the waiters unchanged.  A request is only
 answered with a :class:`~repro.errors.ServiceError` outcome after every
 preference-order attempt is exhausted, and every reroute is counted
-(internal stats + the ``fleet.reroutes`` metric).
+once, in the router's ``fleet.reroutes`` counter that ``stats()`` and
+``/v1/metrics`` both read.
 
 Self-healing:
 
@@ -76,7 +77,6 @@ from .. import config as _config
 from ..errors import QueueFullError, ReproError, ServiceError
 from ..observability import (
     emit_event,
-    get_metrics,
     get_tracer,
     make_fragment,
     merge_snapshots,
@@ -99,20 +99,22 @@ from .store import ArtifactStore, CompileArtifact, StoredDocument
 SERVED_BY_LRU = "router:lru"
 SERVED_BY_STORE = "router:store"
 
+#: Per-backend counters, ``fleet.shard.<backend>.<key>`` in the router
+#: registry.  ``stats()["backends"][b]["failures"]`` is the sum of the
+#: two failure causes.
+SHARD_COUNTERS = (
+    "served", "failures_saturation", "failures_transport", "reroutes_from",
+)
+
 
 # -- backends ------------------------------------------------------------
 
 
 class Backend:
-    """One fleet member, as the router sees it."""
+    """One fleet member, as the router sees it; it reports its own
+    counters (:meth:`metrics_snapshot`) to the fleet aggregate."""
 
     name: str
-    #: Whether this member has its own registry/tracer to scrape over
-    #: the wire.  ``False`` (a :class:`LocalBackend`) means its metrics
-    #: and trace events already live in the router's process-wide
-    #: registry — the aggregator must neither scrape it nor report it
-    #: as an unreachable source.
-    scrapes_metrics = False
 
     def compile(self, request: CompileRequest) -> CompileOutcome:
         raise NotImplementedError
@@ -138,10 +140,8 @@ class Backend:
         return {"ok": True}
 
     def metrics_snapshot(self) -> Optional[Dict[str, Any]]:
-        """This backend's metrics-registry snapshot, or ``None`` when it
-        has none of its *own* (a :class:`LocalBackend` shares the
-        router's process-wide registry — returning it again would
-        double-count every metric in the fleet aggregate)."""
+        """This backend's metrics snapshot, or ``None`` when it cannot
+        be read (the aggregate then lists the backend as ``missing``)."""
         return None
 
     def trace_fragment(self, trace_id: str) -> Optional[Dict[str, Any]]:
@@ -178,6 +178,11 @@ class LocalBackend(Backend):
             raise ServiceError(f"backend {self.name} is closed")
         return self.service.health()
 
+    def metrics_snapshot(self) -> Optional[Dict[str, Any]]:
+        # The service's own registry only: the process registry it
+        # shares with the router is in the router's snapshot, once.
+        return self.service.metrics.to_dict()
+
     def close(self) -> None:
         self.service.close()
 
@@ -192,8 +197,6 @@ class HttpBackend(Backend):
     The client runs with zero transport retries: the *router* owns the
     retry policy, and it retries on a different node.
     """
-
-    scrapes_metrics = True
 
     def __init__(
         self,
@@ -245,12 +248,9 @@ class HttpBackend(Backend):
         # Scrapes are best-effort: an unreachable backend degrades the
         # aggregate (it shows up in ``missing``), never fails it.
         try:
-            payload = self._probe_client.metrics()
+            return self._probe_client.metrics().get("metrics")
         except ReproError:
             return None
-        if not payload.get("enabled"):
-            return None
-        return payload.get("metrics")
 
     def trace_fragment(self, trace_id: str) -> Optional[Dict[str, Any]]:
         try:
@@ -329,6 +329,10 @@ class FleetRouter(Admission):
     counters = {
         "requests": "fleet.requests",
         "lru_hits": "fleet.lru.hits",
+        #: Misses and evictions of an enabled LRU tier; a disabled
+        #: tier records nothing.
+        "lru_misses": "fleet.lru.misses",
+        "lru_evictions": "fleet.lru.evictions",
         "store_hits": "fleet.store.hits",
         "misses": "fleet.misses",
         "coalesced": "fleet.coalesced",
@@ -342,7 +346,7 @@ class FleetRouter(Admission):
         "reroutes_saturation": "fleet.reroutes.saturation",
         "reroutes_transport": "fleet.reroutes.transport",
         "errors": "fleet.errors",
-        "completed": None,
+        "completed": "fleet.completed",
         #: Jobs answered with the typed 504-style shed outcome
         #: because the caller's deadline budget ran out router-side.
         "deadline_shed": "fleet.deadline.shed",
@@ -351,6 +355,7 @@ class FleetRouter(Admission):
         "probes": "fleet.probes",
         "breaker_opened": "fleet.breaker.opened",
         "readmissions": "fleet.breaker.readmitted",
+        "backend_deaths": "fleet.backend.deaths",
     }
 
     def __init__(
@@ -374,16 +379,6 @@ class FleetRouter(Admission):
             else None
         )
         self._owns_backends = owns_backends
-        self._per_backend: Dict[str, Dict[str, int]] = {
-            name: {
-                "served": 0,
-                "failures": 0,
-                "failures_saturation": 0,
-                "failures_transport": 0,
-                "reroutes_from": 0,
-            }
-            for name in names
-        }
         #: Last successful health-probe payload per backend (queue
         #: depth, saturation) — the prober already fetches it; stashing
         #: it lets ``stats()``/``fleet top`` show per-backend load
@@ -473,16 +468,27 @@ class FleetRouter(Admission):
         return snapshot
 
     def stats(self) -> Dict[str, Any]:
-        """A JSON-serializable snapshot of fleet health."""
+        """A JSON-serializable snapshot of fleet health: a view over the
+        router registry plus each backend's liveness and last probe."""
+        admission = self._admission_stats()
         with self._lock:
-            per_backend = {
-                name: dict(stats)
-                for name, stats in self._per_backend.items()
+            shards = {
+                name: {
+                    key: self.metrics.counter(
+                        f"fleet.shard.{name}.{key}"
+                    ).value
+                    for key in SHARD_COUNTERS
+                }
+                for name in self.backends
             }
             last_health = dict(self._last_health)
         backends = {
             name: {
-                **per_backend[name],
+                **shards[name],
+                "failures": (
+                    shards[name]["failures_saturation"]
+                    + shards[name]["failures_transport"]
+                ),
                 "alive": backend.alive(),
                 "breaker": self._breakers[name].describe(),
                 "last_health": (
@@ -502,8 +508,14 @@ class FleetRouter(Admission):
             "backends": backends,
             "ring": self.ring.nodes(),
             "dispatchers": self.config.dispatchers,
-            "lru": self.lru.stats(),
-            **self._admission_stats(),
+            "lru": {
+                "capacity": self.lru.capacity,
+                "entries": len(self.lru),
+                "hits": admission["lru_hits"],
+                "misses": admission["lru_misses"],
+                "evictions": admission["lru_evictions"],
+            },
+            **admission,
         }
         if self.store is not None:
             snapshot["store"] = self.store.stats()
@@ -512,29 +524,17 @@ class FleetRouter(Admission):
     # -- fleet observability ---------------------------------------------
 
     def aggregated_metrics(self) -> Dict[str, Any]:
-        """The fleet-wide metrics snapshot: the router's own registry
-        merged with a live ``/v1/metrics`` scrape of every backend.
+        """The fleet-wide metrics snapshot: the router's
+        :meth:`metrics_snapshot` merged with every backend's own.
 
-        Local backends share the router's process-wide registry, so only
-        the router snapshot is merged for them (no double counting);
-        HTTP backends are scraped over the wire, and an unreachable one
-        degrades the aggregate (listed in ``missing``), never fails it.
+        A local backend reports its service's registry; an HTTP backend
+        is scraped over the wire, and an unreachable one degrades the
+        aggregate (listed in ``missing``), never fails it.
         """
-        registry = get_metrics()
-        snapshots: Dict[str, Optional[Dict[str, Any]]] = {
-            "router": registry.to_dict() if registry.enabled else None
-        }
+        snapshots = {"router": self.metrics_snapshot()}
         for name, backend in self.backends.items():
-            # Local backends share the router snapshot already counted
-            # above; scraping them would double-count, and passing None
-            # would wrongly report them as unreachable sources.
-            if backend.scrapes_metrics:
-                snapshots[name] = backend.metrics_snapshot()
-        merged = merge_snapshots(snapshots)
-        return {
-            "enabled": registry.enabled or bool(merged["sources"]),
-            "fleet": merged,
-        }
+            snapshots[name] = backend.metrics_snapshot()
+        return {"enabled": True, "fleet": merge_snapshots(snapshots)}
 
     def trace_fragment(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """The router process's share of a distributed trace."""
@@ -590,11 +590,12 @@ class FleetRouter(Admission):
         if artifact is not None:
             self._count("lru_hits")
             return artifact, SERVED_BY_LRU
-        get_metrics().counter("fleet.lru.misses").inc()
+        if self.lru.enabled:
+            self._count("lru_misses")
         stored = self.store.get(digest) if self.store is not None else None
         if stored is None:
             return None
-        self.lru.put(digest, stored)
+        self._count("lru_evictions", self.lru.put(digest, stored))
         self._count("store_hits")
         return stored, SERVED_BY_STORE
 
@@ -610,20 +611,18 @@ class FleetRouter(Admission):
             # Body bytes only, whatever the backend handed back: an
             # HttpBackend's decoded dict is encoded here, once.
             if outcome.document is not None:
-                self.lru.put(job.digest, outcome.document)
+                evicted = self.lru.put(job.digest, outcome.document)
+                self._count("lru_evictions", evicted)
         served = outcome.served_by
         if served not in self.backends:
             return outcome
-        with self._lock:
-            self._per_backend[served]["served"] += 1
-            if served != primary:
-                self._per_backend[primary]["reroutes_from"] += 1
-        get_metrics().counter(f"fleet.shard.{served}.served").inc()
+        self._count_shard(served, "served")
         if served != primary:
             # Why the request left its primary: any transport failure
             # along the walk outranks saturation (it is the more
             # actionable fact).
             cause = "transport" if "transport" in causes else "saturation"
+            self._count_shard(primary, "reroutes_from")
             self._count("reroutes")
             self._count(f"reroutes_{cause}")
             emit_event(
@@ -718,7 +717,7 @@ class FleetRouter(Admission):
                 last_exc, cause = exc, "transport"
                 backend.mark_dead()
                 self._breaker_failure(name)
-                get_metrics().counter("fleet.backend.deaths").inc()
+                self._count("backend_deaths")
             except ReproError as exc:
                 # Typed request/pipeline error: an answer, not a routing
                 # failure — retrying elsewhere cannot change it.
@@ -750,7 +749,7 @@ class FleetRouter(Admission):
                     if error_type == "QueueFullError"
                     else "transport"
                 )
-            self._record_failure(name, cause)
+            self._count_shard(name, f"failures_{cause}")
             causes.append(cause)
             if attempt < self.config.retries:
                 delay = delays[attempt]
@@ -840,20 +839,16 @@ class FleetRouter(Admission):
         self._set_breaker_gauge(name)
 
     def _set_breaker_gauge(self, name: str) -> None:
-        get_metrics().gauge(f"fleet.breaker.{name}.state").set(
+        self.metrics.gauge(f"fleet.breaker.{name}.state").set(
             BREAKER_STATE_CODES[self._breakers[name].state]
         )
 
-    def _record_failure(self, name: str, cause: str) -> None:
-        """One failed attempt against a backend, split by cause:
-        ``"saturation"`` (503 / shed — the node is alive, just busy) or
-        ``"transport"`` (unreachable / dead)."""
+    # -- accounting ------------------------------------------------------
+
+    def _count_shard(self, name: str, key: str) -> None:
+        """One per-backend count, ``fleet.shard.<name>.<key>``."""
         with self._lock:
-            self._per_backend[name]["failures"] += 1
-            self._per_backend[name][f"failures_{cause}"] += 1
-        metrics = get_metrics()
-        metrics.counter("fleet.backend.failures").inc()
-        metrics.counter(f"fleet.backend.failures.{cause}").inc()
+            self.metrics.counter(f"fleet.shard.{name}.{key}").inc()
 
 
 # -- fleet builders ------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The handler speaks to anything satisfying the *service contract* —
 ``compile(request) -> CompileOutcome``, ``stats() -> dict``,
-``health() -> dict``, ``clear_cache() -> int``, and a ``store``
-attribute (an
+``metrics_snapshot() -> dict``, ``health() -> dict``,
+``clear_cache() -> int``, and a ``store`` attribute (an
 :class:`~repro.service.store.ArtifactStore` or ``None``) — so one server
 implementation fronts both a single-process
 :class:`~repro.service.service.CompileService` (``repro serve``) and a
@@ -15,10 +15,10 @@ Endpoints (all under ``/v1``):
 ``/v1/healthz``          GET     liveness + version stamps
 ``/v1/health``           GET     liveness + load: queue depth/limit,
                                  saturation — the fleet prober's endpoint
-``/v1/stats``            GET     service counters, latency percentiles,
-                                 store stats, and the metrics-registry
-                                 snapshot when metrics are enabled
-``/v1/metrics``          GET     the metrics-registry snapshot alone (the
+``/v1/stats``            GET     service counters, queue state, latency
+                                 percentiles and store stats
+``/v1/metrics``          GET     the same counters as a registry snapshot,
+                                 merged with the process registry (the
                                  dashboard/aggregator scrape target); a
                                  fleet front-end answers with the merged
                                  fleet-wide aggregate
@@ -64,7 +64,6 @@ from ..errors import (
 from ..ir.serialize import FORMAT_VERSION, PIPELINE_VERSION
 from ..observability import (
     get_event_log,
-    get_metrics,
     get_tracer,
     is_valid_trace_id,
     make_fragment,
@@ -229,29 +228,21 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, self.server.service.health())
             return
         if path == "/v1/stats":
-            payload: Dict[str, Any] = {
-                "service": self.server.service.stats(),
-            }
-            metrics = get_metrics()
-            if metrics.enabled:
-                payload["metrics"] = metrics.to_dict()
-            self._send(200, payload)
+            self._send(200, {"service": self.server.service.stats()})
             return
         if path == "/v1/metrics":
             # The scrape target.  A fleet front-end answers with the
-            # merged fleet-wide aggregate (its own registry plus every
-            # reachable backend's); a plain server answers with its own
-            # registry snapshot.
+            # merged fleet-wide aggregate (its own snapshot plus every
+            # reachable backend's); a plain server answers with its own.
             aggregate_fn = getattr(
                 self.server.service, "aggregated_metrics", None
             )
             if aggregate_fn is not None:
                 self._send(200, aggregate_fn())
                 return
-            metrics = get_metrics()
             self._send(200, {
-                "enabled": metrics.enabled,
-                "metrics": metrics.to_dict() if metrics.enabled else None,
+                "enabled": True,
+                "metrics": self.server.service.metrics_snapshot(),
             })
             return
         if path.startswith("/v1/trace/"):

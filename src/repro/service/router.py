@@ -144,7 +144,8 @@ class HashRing:
 
 
 class LRUCache:
-    """Thread-safe digest-keyed LRU with hit/miss/eviction accounting.
+    """Thread-safe digest-keyed LRU.  It counts nothing: :meth:`put`
+    returns its evictions and the router counts them.
 
     The fleet router stores body-only
     :class:`~repro.service.store.StoredDocument` values: an artifact's
@@ -160,9 +161,6 @@ class LRUCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @property
     def enabled(self) -> bool:
@@ -175,21 +173,21 @@ class LRUCache:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
             return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any) -> int:
+        """Insert or refresh ``key``; returns the evictions (0 or 1)."""
         if not self.enabled:
-            return
+            return 0
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            if len(self._entries) <= self.capacity:
+                return 0
+            self._entries.popitem(last=False)
+            return 1
 
     def clear(self) -> int:
         with self._lock:
@@ -204,16 +202,6 @@ class LRUCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
 
 
 __all__ = ["DEFAULT_RING_REPLICAS", "HashRing", "LRUCache"]

@@ -20,9 +20,11 @@ store (:mod:`repro.service.store`) serves *identical* requests across
 restarts, and the single-flight table collapses *concurrent identical*
 requests into one pipeline run.
 
-Internal counters are authoritative for :meth:`CompileService.stats`;
-the same events are mirrored into the metrics registry (and every stage
-runs under tracer spans) whenever observability is enabled.
+Every count lives once, in the service's own registry
+(:attr:`~repro.service.admission.Admission.metrics`):
+:meth:`CompileService.stats` is a view over it, and ``/v1/metrics``
+serves it merged with the process registry.  Every stage runs under
+tracer spans whenever observability is enabled.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import config as _config
-from ..observability import get_metrics, get_tracer
+from ..observability import get_tracer
 from ..resilience.budget import Budget
 from .admission import Admission, Job, Ticket
 from .api import STATUS_HIT, STATUS_MISS, CompileOutcome, CompileRequest
@@ -126,8 +128,7 @@ class CompileService(Admission):
     def executions(self) -> int:
         """How many times the pipeline actually ran (misses that weren't
         filled by another process before a worker picked them up)."""
-        with self._lock:
-            return self._counts["executions"]
+        return self._tallies["executions"].value
 
     def stats(self) -> Dict[str, Any]:
         """A JSON-serializable snapshot of service health."""
@@ -191,12 +192,9 @@ class CompileService(Admission):
                 # is served from the store, reclassify so the hit/miss
                 # counters agree with the outcome statuses.
                 with self._lock:
-                    self._counts["cache_hits"] += 1
-                    self._counts["cache_misses"] -= 1
-                    self._counts["late_hits"] += 1
-                metrics = get_metrics()
-                metrics.counter("service.cache.hits").inc()
-                metrics.counter("service.cache.late_hits").inc()
+                    self._tallies["late_hits"].inc()
+                    self._tallies["cache_hits"].inc()
+                    self._tallies["cache_misses"].inc(-1)
                 return CompileOutcome(
                     digest=job.digest, status=STATUS_HIT, artifact=artifact
                 )

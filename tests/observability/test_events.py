@@ -56,13 +56,6 @@ class TestEventLog:
         assert snapshot["dropped"] == 7
         assert snapshot["capacity"] == 3
 
-    def test_counts_by_kind(self):
-        log = EventLog()
-        log.emit("reroute")
-        log.emit("reroute")
-        log.emit("breaker_open", backend="b0")
-        assert log.counts_by_kind() == {"reroute": 2, "breaker_open": 1}
-
     def test_every_declared_kind_is_accepted(self):
         log = EventLog()
         for kind in EVENT_KINDS:

@@ -98,15 +98,17 @@ class TestLocalFleetObservability:
             fleet.close()
 
     def test_local_backends_not_reported_missing(self, tmp_path):
-        # LocalBackends share the router's process registry: they are
-        # neither scraped nor listed as unreachable.
+        # Each LocalBackend reports its own service registry, like a
+        # subprocess backend; none is listed as unreachable.
         fleet = local_fleet(2, str(tmp_path / "cache"))
         try:
             with capture():
                 fleet.submit(request()).wait(timeout=300)
                 merged = fleet.aggregated_metrics()["fleet"]
                 assert merged["missing"] == []
-                assert merged["sources"] == ["router"]
+                assert merged["sources"] == [
+                    "backend-0", "backend-1", "router",
+                ]
         finally:
             fleet.close()
 

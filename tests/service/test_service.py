@@ -422,10 +422,10 @@ class TestStats:
             compiler.gate.set()
             service.close()
 
-    def test_metrics_mirrored_when_enabled(self, tmp_path):
+    def test_metrics_snapshot_carries_counters(self, tmp_path):
         from repro.observability import capture
 
-        with capture() as obs:
+        with capture():
             service = CompileService(
                 ServiceConfig(workers=1, cache_dir=str(tmp_path / "cache")),
                 compile_fn=lambda req, digest: fake_artifact(digest),
@@ -435,12 +435,10 @@ class TestStats:
                 service.compile(request())
             finally:
                 service.close()
-            snapshot = obs.metrics.to_dict()
-        counters = snapshot.get("counters", snapshot)
-        flat = str(counters)
-        assert "service.requests" in flat
-        assert "service.cache.hits" in flat
-        assert "service.cache.misses" in flat
+            counters = service.metrics_snapshot()["counters"]
+        assert counters["service.requests"] == 2
+        assert counters["service.cache.hits"] == 1
+        assert counters["service.cache.misses"] == 1
 
 
 class TestDigestMemo:
