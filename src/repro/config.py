@@ -85,6 +85,10 @@ DEADLINE_WAIT_GRACE_S = 2.0
 # top`` polls /v1/stats + /v1/metrics at the refresh interval, and
 # ``repro fleet events --follow`` polls /v1/events at the poll interval.
 DEFAULT_EVENT_LOG_CAPACITY = 2048
+#: The tracer is a bounded ring too: a server traces every request for
+#: its whole life, so it keeps only the most recent events (about 7 MB
+#: at about 0.9 KB per event) and counts the ones it drops.
+DEFAULT_TRACE_CAPACITY = 8192
 DEFAULT_FLEET_TOP_INTERVAL_S = 2.0
 DEFAULT_EVENT_FOLLOW_INTERVAL_S = 1.0
 

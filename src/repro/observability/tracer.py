@@ -21,6 +21,13 @@ Two backends share the interface:
   two trivial method calls and no allocation (asserted by
   ``benchmarks/bench_observability_overhead.py``).
 
+The recording backend keeps its events in a ring of
+:data:`~repro.config.DEFAULT_TRACE_CAPACITY` events — a server traces
+every request for its whole life — and counts what the ring drops.
+Every export declares the drop: :meth:`Tracer.tail_info` adds it to its
+count, and the Chrome document carries a ``dropped_events`` metadata
+record once anything was dropped.
+
 On span exit the tracer also feeds the active metrics registry a
 ``stage_ms.<name>`` histogram observation, so per-stage wall time shows
 up in ``repro stats`` without separate timing code at every call site.
@@ -42,8 +49,11 @@ import os
 import secrets
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
+
+from ..config import DEFAULT_TRACE_CAPACITY
 
 #: Histogram buckets (milliseconds) for per-stage wall-time metrics.
 #: Fixed and deterministic so snapshots are comparable across runs.
@@ -179,12 +189,16 @@ class _Span:
 
 
 class Tracer:
-    """The recording backend."""
+    """The recording backend: a bounded ring of the most recent events."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._events: List[Dict[str, Any]] = []
+        self._events: Deque[Dict[str, Any]] = deque(
+            maxlen=DEFAULT_TRACE_CAPACITY
+        )
+        #: Events the ring has dropped since the tracer was created.
+        self.dropped = 0
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
         # Wall-clock time of the epoch (microseconds since the Unix
@@ -252,8 +266,7 @@ class Tracer:
         }
         if span.args:
             event["args"] = dict(span.args)
-        with self._lock:
-            self._events.append(event)
+        self._append(event)
         # Per-stage wall time flows into the metrics registry so one
         # instrumentation point serves both backends.
         from .state import get_metrics
@@ -282,31 +295,37 @@ class Tracer:
         }
         if args:
             event["args"] = dict(args)
+        self._append(event)
+
+    def _append(self, event: Dict[str, Any]) -> None:
         with self._lock:
+            if len(self._events) == self._events.maxlen:
+                self.dropped += 1
             self._events.append(event)
 
     # -- export ------------------------------------------------------------
 
     def events(self) -> List[Dict[str, Any]]:
-        """A snapshot of every recorded event, in completion order."""
+        """A snapshot of every retained event, in completion order."""
         with self._lock:
             return list(self._events)
 
     def tail(self, limit: int = 100) -> List[Dict[str, Any]]:
         """The most recent events (embedded in failure reports)."""
         with self._lock:
-            return list(self._events[-limit:])
+            return list(self._events)[-limit:]
 
     def tail_info(self, limit: int = 100) -> Tuple[List[Dict[str, Any]], int]:
-        """The most recent events plus how many older ones were dropped.
+        """The most recent events plus how many older ones were dropped
+        (by this tail's limit or by the ring).
 
         Failure reports embed this so a truncated tail declares itself
         (``trace_truncated`` / ``trace_dropped_events``) instead of
         silently looking complete.
         """
         with self._lock:
-            dropped = max(0, len(self._events) - limit)
-            return list(self._events[-limit:]), dropped
+            dropped = self.dropped + max(0, len(self._events) - limit)
+            return list(self._events)[-limit:], dropped
 
     def events_for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
         """Events recorded under a distributed trace context."""
@@ -323,7 +342,11 @@ class Tracer:
             return {e["name"] for e in self._events if e["ph"] == "X"}
 
     def to_chrome(self) -> Dict[str, Any]:
-        """The complete Chrome trace-event document."""
+        """The Chrome trace-event document of the retained events; a
+        ``dropped_events`` metadata record declares any the ring lost."""
+        with self._lock:
+            events = list(self._events)
+            dropped = self.dropped
         metadata = [
             {
                 "name": "process_name",
@@ -332,8 +355,15 @@ class Tracer:
                 "args": {"name": "repro pipeline"},
             }
         ]
+        if dropped:
+            metadata.append({
+                "name": "dropped_events",
+                "ph": "M",
+                "pid": 1,
+                "args": {"dropped_events": dropped},
+            })
         return {
-            "traceEvents": metadata + self.events(),
+            "traceEvents": metadata + events,
             "displayTimeUnit": "ms",
         }
 

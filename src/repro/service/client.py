@@ -1,15 +1,26 @@
-"""Thin stdlib client for the compile service.
+"""Thin client for the compile service: one socket transport.
 
-Transport failures (server down, timeout, connection reset mid-read, a
-half-closed response, non-JSON body) raise
-:class:`~repro.errors.ServiceError` — every escape hatch the socket
-layer has is mapped onto the one typed error, so a CLI caller always
-exits 75 with a one-line message, never a raw traceback; a 503 from the
-server's bounded admission queue raises
-:class:`~repro.errors.QueueFullError`; a 400 (unknown app, malformed IR)
-re-raises as :class:`~repro.errors.RuntimeConfigError` so ``repro
-submit`` exits with the same code a local ``repro map`` would.  A *typed
-pipeline failure* (422) is NOT an exception: it returns a
+Every request is one ``sendall`` of the request line, headers and body,
+and every response is read with the service's one framing
+(:mod:`.wire`): the head by a bounded ``readline`` loop, then exactly
+``Content-Length`` body bytes (or, without a length, everything up to
+EOF).  The client speaks plain ``http://`` only; any other scheme is a
+:class:`~repro.errors.RuntimeConfigError` when the client is built.
+Two connection modes share the transport: with ``keep_alive=True``
+each thread keeps one persistent connection (a stale one is retried
+once on a fresh connection); otherwise each request opens one
+connection and sends ``Connection: close``.
+
+Transport failures raise :class:`~repro.errors.ServiceError`: a
+refused or unresolvable host ("cannot reach"), a socket timeout ("timed
+out after Ns"), a reset, a missing status line, a malformed head or a
+truncated body ("failed mid-request"), and a body that is not a JSON
+object — so a CLI caller always exits 75 with a one-line message, never
+a raw traceback.  A 503 from the server's bounded admission queue
+raises :class:`~repro.errors.QueueFullError`; a 400 (unknown app,
+malformed IR) re-raises as :class:`~repro.errors.RuntimeConfigError` so
+``repro submit`` exits with the same code a local ``repro map`` would.
+A *typed pipeline failure* (422) is NOT an exception: it returns a
 :class:`~repro.service.api.CompileOutcome` whose ``error`` carries the
 replayable failure report, which the CLI writes to disk and turns into a
 ``repro replay-failure`` invocation.
@@ -29,19 +40,34 @@ same one).
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from typing import Any, Callable, Dict, Optional, Tuple, Union
+from urllib.parse import urlsplit
 
 from ..errors import QueueFullError, RuntimeConfigError, ServiceError
 from ..resilience.retry import backoff_delays
+from . import wire
 from .api import CompileOutcome, CompileRequest
+
+
+class _Connection:
+    """One connected socket and the buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        try:
+            self.rfile.close()
+            self.sock.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
 
 
 class ServiceClient:
@@ -62,12 +88,20 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = retries
         self.keep_alive = keep_alive
-        parsed = urllib.parse.urlsplit(self.url)
-        self._host = parsed.hostname or "127.0.0.1"
-        self._port = parsed.port or 80
-        # Persistent connections are per-thread: http.client connections
-        # are not thread-safe, and one ServiceClient is shared by every
-        # dispatcher thread of a fleet backend.
+        parsed = urlsplit(self.url)
+        try:
+            port = parsed.port or 80
+        except ValueError:
+            port = 0
+        if parsed.scheme != "http" or not port:
+            raise RuntimeConfigError(
+                f"compile service URL {url!r} is not an http:// URL "
+                f"(the client speaks plain HTTP only)"
+            )
+        self._address = (parsed.hostname or "127.0.0.1", port)
+        self._host = parsed.netloc
+        # Persistent connections are per-thread: one ServiceClient is
+        # shared by every dispatcher thread of a fleet backend.
         self._local = threading.local()
         self._delays = backoff_delays(
             retries,
@@ -86,148 +120,109 @@ class ServiceClient:
         payload: Optional[Dict[str, Any]] = None,
     ) -> Tuple[int, Dict[str, Any]]:
         """One logical request: transport retries happen inside."""
+        fields = [("Host", self._host), ("Accept", "application/json")]
+        body = None
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            fields.append(("Content-Type", "application/json"))
+        if not self.keep_alive:
+            fields.append(("Connection", "close"))
+        message = wire.encode_message(
+            f"{method} {path} HTTP/1.1", fields, body
+        )
         for attempt in range(self.retries + 1):
             try:
-                return self._request_once(method, path, payload)
+                return self._request_once(message)
             except ServiceError:
                 if attempt >= self.retries:
                     raise
                 self._sleep(self._delays[attempt])
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        body = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        if self.keep_alive:
-            return self._request_persistent(method, path, body, headers)
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=body, headers=headers, method=method
-        )
+    def _connect(self) -> _Connection:
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.status, self._decode(response.read())
-        except urllib.error.HTTPError as exc:
-            # 4xx/5xx still carry a JSON payload we want to interpret;
-            # reading it can itself die on a shutting-down server.
-            try:
-                raw = exc.read()
-            except (OSError, http.client.HTTPException) as read_exc:
-                raise ServiceError(
-                    f"compile service at {self.url} dropped the "
-                    f"connection mid-response: {read_exc}"
-                )
-            return exc.code, self._decode(raw)
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach compile service at {self.url}: {exc.reason}"
-            )
+            sock = socket.create_connection(self._address, self.timeout)
         except TimeoutError:
             raise ServiceError(
                 f"compile service at {self.url} timed out "
                 f"after {self.timeout}s"
             )
-        except (OSError, http.client.HTTPException) as exc:
-            # Everything urllib does NOT wrap: a connection reset while
-            # reading the body, a server that accepted then closed
-            # without a status line (RemoteDisconnected), a truncated
-            # Content-Length (IncompleteRead).  All of these are "the
-            # server went away mid-request" — one typed, retryable error.
+        except OSError as exc:
             raise ServiceError(
-                f"connection to compile service at {self.url} failed "
-                f"mid-request: {type(exc).__name__}: {exc}"
+                f"cannot reach compile service at {self.url}: {exc}"
             )
+        # A request larger than one segment would otherwise hold its
+        # last segment until the server ACKs the ones before it.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return _Connection(sock)
 
-    # -- persistent transport (keep_alive=True) --------------------------
-
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout
-            )
-            self._local.conn = conn
-        if conn.sock is None:
-            conn.connect()
-            # Request line/headers and body are separate writes; without
-            # TCP_NODELAY, Nagle would stall the second one on a reused
-            # connection waiting for the server's delayed ACK.
-            conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        return conn
-
-    def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        self._local.conn = None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
+    def _release(self, conn: _Connection) -> None:
+        if getattr(self._local, "conn", None) is conn:
+            self._local.conn = None
+        conn.close()
 
     def close(self) -> None:
         """Close this thread's persistent connection (if any)."""
-        self._drop_connection()
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            self._release(conn)
 
-    def _request_persistent(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, Any]]:
-        """One request over a reused connection.
+    def _request_once(self, message: bytes) -> Tuple[int, Dict[str, Any]]:
+        """Send one encoded request and read its response.
 
-        Error mapping mirrors the urllib path exactly.  The one extra
-        case keep-alive introduces: the server may close an idle
-        connection between our requests, which surfaces as an
-        immediate failure on first reuse — retried once on a fresh
-        connection (safe even for POST: compile requests are
+        With ``keep_alive`` the thread's connection is reused.  The
+        server may close an idle one between our requests, which
+        surfaces as an immediate failure on first reuse — retried once
+        on a fresh connection (safe even for POST: compile requests are
         content-addressed, so a replay is absorbed by the store or the
         single-flight table).
         """
         for attempt in range(2):
-            cached = getattr(self._local, "conn", None)
-            reused = cached is not None and cached.sock is not None
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None
+            if conn is None:
+                conn = self._connect()
+                if self.keep_alive:
+                    self._local.conn = conn
             try:
-                conn = self._connection()
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                status = response.status
-                raw = response.read()
-            except (ConnectionRefusedError, socket.gaierror) as exc:
-                self._drop_connection()
-                raise ServiceError(
-                    f"cannot reach compile service at {self.url}: {exc}"
-                )
+                status, raw, closes = self._exchange(conn, message)
             except TimeoutError:
-                self._drop_connection()
+                self._release(conn)
                 raise ServiceError(
                     f"compile service at {self.url} timed out "
                     f"after {self.timeout}s"
                 )
-            except (OSError, http.client.HTTPException) as exc:
-                self._drop_connection()
+            except (OSError, wire.FramingError) as exc:
+                self._release(conn)
                 if reused and attempt == 0:
                     continue  # stale keep-alive connection; go fresh
                 raise ServiceError(
                     f"connection to compile service at {self.url} failed "
                     f"mid-request: {type(exc).__name__}: {exc}"
                 )
-            if response.will_close:
-                self._drop_connection()
+            if closes or not self.keep_alive:
+                self._release(conn)
             return status, self._decode(raw)
         raise AssertionError("unreachable")  # pragma: no cover
+
+    @staticmethod
+    def _exchange(
+        conn: _Connection, message: bytes
+    ) -> Tuple[int, bytes, bool]:
+        """(status, body, server closes) for one request on ``conn``."""
+        conn.sock.sendall(message)
+        start, fields = wire.read_head(conn.rfile)
+        version, _, rest = start.partition(" ")
+        code = rest[:3]
+        if not (
+            version.startswith("HTTP/") and code.isascii() and code.isdigit()
+        ):
+            raise wire.FramingError(f"malformed status line {start[:64]!r}")
+        length = wire.body_length(fields)
+        if length is None:
+            return int(code), conn.rfile.read(), True
+        closes = fields.get("connection", "").lower() == "close"
+        return int(code), wire.read_body(conn.rfile, length), closes
 
     def _decode(self, raw: bytes) -> Dict[str, Any]:
         try:

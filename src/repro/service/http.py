@@ -47,13 +47,24 @@ request's propagated deadline expired before it could be served (the
 body is the typed shed outcome), 404 unknown path/digest.  Every error
 body includes ``error_type`` and the CLI ``exit_code`` for that failure
 class, so a thin client can exit the way a local run would.
+
+Framing: :class:`~http.server.ThreadingHTTPServer` and
+:class:`~http.server.BaseHTTPRequestHandler` accept connections, run one
+thread per connection, dispatch ``do_*`` and send framing errors
+(``send_error``).  The handler replaces only the head parse and the
+send: :meth:`_Handler.parse_request` keeps the stdlib's request-line
+checks, reads the header fields and the whole ``Content-Length`` body
+through :mod:`.wire`, and answers ``Expect: 100-continue`` before the
+body; :meth:`_Handler._send_bytes` sends status line, headers and body
+in one write.  HTTP/1.0 and 1.1 are accepted; a request with
+``Transfer-Encoding`` is refused (411) and its connection closed.
 """
 
 from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import (
     EXIT_CONFIG,
@@ -69,6 +80,7 @@ from ..observability import (
     make_fragment,
     stitch_fragments,
 )
+from . import wire
 from .api import STATUS_ERROR, CompileRequest
 from .store import is_valid_digest
 
@@ -106,6 +118,19 @@ def make_server(
     return ServiceHTTPServer((host, port), service)
 
 
+def _http_version(text: str) -> Optional[Tuple[int, int]]:
+    """``HTTP/<major>.<minor>`` as a pair, by the stdlib's rules."""
+    if not text.startswith("HTTP/"):
+        return None
+    parts = text[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10
+        for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
     #: HTTP/1.1 keeps connections alive between requests (every response
@@ -113,16 +138,84 @@ class _Handler(BaseHTTPRequestHandler):
     #: router's dispatcher threads reuse one connection per backend
     #: instead of paying a TCP handshake per request.
     protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY: headers and body go out as separate writes; with a
-    #: kept-alive connection Nagle would hold the body ~40ms waiting on
-    #: the client's delayed ACK of the header packet.
+    #: TCP_NODELAY: a response is one write, but one larger than a
+    #: segment would otherwise hold its last segment until the client
+    #: ACKs the ones before it.
     disable_nagle_algorithm = True
+    #: The declared body, read whole by :meth:`parse_request`.
+    body = b""
+
     #: Keep the default noisy per-request stderr logging off; the
     #: service's own metrics/tracing are the observability surface.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
 
     # -- plumbing --------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """The request line by the stdlib's checks, then the head and
+        the whole body through :mod:`.wire`.
+
+        Reading every declared body here, before any route answers,
+        keeps a kept-alive connection in step: bytes a route ignores
+        (``/v1/cache/clear``, an unknown POST) never prefix the next
+        request line.  Returns ``False`` once an error has been sent or
+        the client has gone; the connection then closes.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip(
+            "\r\n"
+        )
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path, version = words
+        number = _http_version(version)
+        if number is None:
+            self.send_error(400, f"Bad request version ({version!r})")
+            return False
+        self.request_version = version
+        if number >= (2, 0):
+            self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+            return False
+        # A path starting with "//" reads as a scheme-less absolute URI
+        # to clients; collapse it as the stdlib does (gh-87389).
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        try:
+            self.headers = wire.read_fields(self.rfile)
+            length = wire.body_length(self.headers) or 0
+        except wire.FramingError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        except wire.IncompleteMessage:
+            return False
+        if length > MAX_BODY_BYTES:
+            self.send_error(
+                413, f"request body is over {MAX_BODY_BYTES} bytes"
+            )
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            number < (1, 1) and connection != "keep-alive"
+        )
+        if (
+            number >= (1, 1)
+            and self.headers.get("expect", "").lower() == "100-continue"
+        ):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            self.body = wire.read_body(self.rfile, length)
+        except wire.IncompleteMessage:
+            self.close_connection = True
+            return False
+        return True
 
     def _send(
         self,
@@ -140,15 +233,23 @@ class _Handler(BaseHTTPRequestHandler):
         body: bytes,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        """Send ``body``, already-encoded JSON: the one send path."""
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
+        """Send ``body``, already-encoded JSON, as one write: the one
+        send path."""
+        fields = [
+            ("Date", self.date_time_string()),
+            ("Content-Type", "application/json"),
+        ]
+        if extra_headers:
+            fields.extend(extra_headers.items())
+        if self.close_connection:
+            fields.append(("Connection", "close"))
+        message = wire.encode_message(
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            fields,
+            body,
+        )
         try:
-            self.wfile.write(body)
+            self.wfile.write(message)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up
 
@@ -167,15 +268,6 @@ class _Handler(BaseHTTPRequestHandler):
             },
             extra_headers,
         )
-
-    def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
-            raise ValueError(
-                f"request body must be 1..{MAX_BODY_BYTES} bytes, "
-                f"got {length}"
-            )
-        return json.loads(self.rfile.read(length).decode("utf-8"))
 
     def _query(self) -> Dict[str, str]:
         """Last-wins query parameters (``?raw=1``, ``?since=N``)."""
@@ -345,12 +437,8 @@ class _Handler(BaseHTTPRequestHandler):
             })
             return
         try:
-            data = self._read_json()
+            data = json.loads(self.body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
-            # The body may be partly (or not at all) consumed; a
-            # keep-alive connection would misparse the leftover bytes
-            # as the next request, so drop the connection instead.
-            self.close_connection = True
             self._send(400, {
                 "error_type": "BadRequest",
                 "message": f"malformed JSON body: {exc}",

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.observability import tracer as tracer_module
 from repro.observability.tracer import (
     NULL_SPAN,
     NULL_TRACER,
@@ -116,6 +117,61 @@ class TestChromeExport:
     def test_validation_catches_malformed(self, document, expected):
         problems = validate_chrome_trace(document)
         assert problems and any(expected in p for p in problems)
+
+
+class TestRing:
+    """The tracer keeps the most recent events and declares the rest."""
+
+    CAPACITY = 8
+    EXTRA = 5
+
+    @pytest.fixture(autouse=True)
+    def small_ring(self, monkeypatch):
+        monkeypatch.setattr(
+            tracer_module, "DEFAULT_TRACE_CAPACITY", self.CAPACITY
+        )
+
+    def test_ring_retains_capacity_and_declares_every_drop(self, tmp_path):
+        tracer = Tracer()
+        total = self.CAPACITY + self.EXTRA
+        for i in range(total):
+            with tracer.span(f"s{i}"):
+                pass
+        assert [e["name"] for e in tracer.events()] == [
+            f"s{i}" for i in range(self.EXTRA, total)
+        ]
+        assert tracer.dropped == self.EXTRA
+        assert tracer.tail_info(self.CAPACITY) == (
+            tracer.events(), self.EXTRA
+        )
+        tail, dropped = tracer.tail_info(3)
+        assert [e["name"] for e in tail] == [
+            f"s{i}" for i in range(total - 3, total)
+        ]
+        assert dropped == total - 3
+        with open(tracer.write(str(tmp_path / "trace.json"))) as handle:
+            document = json.load(handle)
+        assert validate_chrome_trace(document) == []
+        assert [
+            e for e in document["traceEvents"]
+            if e["name"] == "dropped_events"
+        ] == [{
+            "name": "dropped_events",
+            "ph": "M",
+            "pid": 1,
+            "args": {"dropped_events": self.EXTRA},
+        }]
+        spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == self.CAPACITY
+
+    def test_no_drop_record_until_something_is_dropped(self):
+        tracer = Tracer()
+        tracer.instant("mark")
+        assert tracer.dropped == 0
+        assert all(
+            e["name"] != "dropped_events"
+            for e in tracer.to_chrome()["traceEvents"]
+        )
 
 
 class TestNullBackend:

@@ -569,6 +569,29 @@ class TestClientTransportHardening:
             client.close()
 
 
+class TestTraceRing:
+    def test_trace_that_left_the_ring_is_404(self, served, monkeypatch):
+        from repro.observability import state
+        from repro.observability import tracer as tracer_module
+
+        monkeypatch.setattr(tracer_module, "DEFAULT_TRACE_CAPACITY", 16)
+        tracer = tracer_module.Tracer()
+        monkeypatch.setattr(state, "_TRACER", tracer)
+        client = ServiceClient(served.url, keep_alive=True)
+        try:
+            first = client.compile(request())
+            assert client.trace(first.trace_id) is not None
+            for n in range(1, 64):
+                last = client.compile(request(R=64 + 32 * n, C=32))
+                if not tracer.events_for_trace(first.trace_id):
+                    break
+            assert tracer.dropped > 0
+            assert client.trace(first.trace_id) is None
+            assert client.trace(last.trace_id) is not None
+        finally:
+            client.close()
+
+
 class TestRecipeEndpoint:
     """Recipes are served at the same /v1/artifacts/<digest> route."""
 
