@@ -33,10 +33,10 @@ from repro.analysis import (
     search_mapping,
     search_mapping_reference,
 )
-from repro.analysis.cache import get_search_cache
 from repro.config import BLOCK_SIZE_CANDIDATES
 from repro.ir import Builder, F64
 from repro.ir.builder import range_map
+from repro.observability import capture
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_search_scaling.json"
 
@@ -234,20 +234,22 @@ def run_cache_sweep(points: int = 10, repeats_per_point: int = 11) -> Dict:
     """
     program = _make_sum_rows()
     clear_caches()
-    for i in range(points):
-        ka = analyze_program(
-            program, R=1024 + 512 * i, C=4096
-        ).kernel(0)
-        for _ in range(repeats_per_point):
-            search_mapping(ka.depth, ka.constraints, ka.level_sizes())
-    stats = get_search_cache().stats()
+    with capture() as observation:
+        for i in range(points):
+            ka = analyze_program(
+                program, R=1024 + 512 * i, C=4096
+            ).kernel(0)
+            for _ in range(repeats_per_point):
+                search_mapping(ka.depth, ka.constraints, ka.level_sizes())
+    hits = int(observation.metrics.counter("cache.search.hits").value)
+    misses = int(observation.metrics.counter("cache.search.misses").value)
     return dict(
         bench="search_cache_sweep",
         points=points,
         repeats_per_point=repeats_per_point,
-        hits=stats.hits,
-        misses=stats.misses,
-        hit_rate=round(stats.hit_rate, 4),
+        hits=hits,
+        misses=misses,
+        hit_rate=round(hits / (hits + misses), 4),
     )
 
 

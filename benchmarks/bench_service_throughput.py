@@ -27,13 +27,10 @@ artifacts).  Run under pytest
 from __future__ import annotations
 
 import json
-import os
 import signal
 import subprocess
-import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 from typing import Dict, List
 
@@ -44,6 +41,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service.fleet import spawn_server_process
 
 _ROOT = Path(__file__).resolve().parents[1]
 _OUT = _ROOT / "BENCH_service_throughput.json"
@@ -118,35 +116,6 @@ def bench_single_flight(cache_dir: str) -> Dict:
         service.close()
 
 
-def _serve_subprocess(cache_dir: str, log_path: Path) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(_ROOT / "src")
-    log_fh = open(log_path, "w")
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "--cache-dir", cache_dir,
-        ],
-        stdout=log_fh,
-        stderr=subprocess.STDOUT,
-        env=env,
-    )
-
-
-def _wait_for_url(log_path: Path, proc: subprocess.Popen) -> str:
-    deadline = time.time() + 60
-    while time.time() < deadline:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"server exited early:\n{log_path.read_text()}"
-            )
-        text = log_path.read_text() if log_path.exists() else ""
-        if "listening on " in text:
-            return text.split("listening on ")[1].split()[0]
-        time.sleep(0.2)
-    raise RuntimeError(f"server never came up:\n{log_path.read_text()}")
-
-
 def _stop(proc: subprocess.Popen) -> None:
     if proc.poll() is None:
         proc.send_signal(signal.SIGTERM)
@@ -159,9 +128,10 @@ def _stop(proc: subprocess.Popen) -> None:
 
 def bench_restart_survival(cache_dir: str, scratch: Path) -> Dict:
     row: Dict = {"phase": "restart-survival"}
-    first = _serve_subprocess(cache_dir, scratch / "serve-1.log")
+    first, url = spawn_server_process(
+        cache_dir, str(scratch / "serve-1.log"), workers=2
+    )
     try:
-        url = _wait_for_url(scratch / "serve-1.log", first)
         client = ServiceClient(url)
         cold = client.compile(request())
         row["first_process_status"] = cold.status
@@ -169,15 +139,14 @@ def bench_restart_survival(cache_dir: str, scratch: Path) -> Dict:
     finally:
         _stop(first)
 
-    second = _serve_subprocess(cache_dir, scratch / "serve-2.log")
+    second, url = spawn_server_process(
+        cache_dir, str(scratch / "serve-2.log"), workers=2
+    )
     try:
-        url = _wait_for_url(scratch / "serve-2.log", second)
         client = ServiceClient(url)
         warm = client.compile(request())
         row["second_process_status"] = warm.status
         row["second_process_first_request_ms"] = warm.latency_ms
-        stats = client.stats()["service"]
-        row["second_process_memo_restored"] = stats["memo_restored"]
     finally:
         _stop(second)
     return row

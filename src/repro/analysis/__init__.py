@@ -8,7 +8,8 @@ Public surface:
   engine selection, and the exhaustive reference oracle).
 * :mod:`repro.analysis.vectorized` — the NumPy batch search engine
   (byte-identical to the reference, candidate matrix at once).
-* :mod:`repro.analysis.cache` — cross-sweep memoization of search results.
+* :mod:`repro.analysis.cache` — the one bounded memo (``LRUCache``) and
+  the search memo's keys.
 * :mod:`repro.analysis.strategies` — fixed baselines from prior work.
 """
 
@@ -22,8 +23,7 @@ from .access import (  # noqa: F401
 )
 from .autotune import AutotuneResult, autotune_mapping  # noqa: F401
 from .cache import (  # noqa: F401
-    CacheStats,
-    SearchCache,
+    LRUCache,
     clear_caches,
     constraint_set_fingerprint,
     get_autotune_cache,

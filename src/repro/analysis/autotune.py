@@ -27,7 +27,11 @@ from ..errors import ReproError, SearchError
 from ..resilience.budget import Budget
 from ..resilience.faults import maybe_inject
 from .analyzer import KernelAnalysis
-from .cache import constraint_set_fingerprint, get_autotune_cache
+from .cache import (
+    constraint_set_fingerprint,
+    count_memo,
+    get_autotune_cache,
+)
 from .dop import DopWindow, control_dop
 from .mapping import Mapping
 from .scoring import hard_feasible
@@ -125,15 +129,16 @@ def autotune_mapping(
     if budget is not None:
         budget.start()
 
-    cache = get_autotune_cache() if use_cache else None
+    memo = get_autotune_cache() if use_cache else None
     key = None
-    if cache is not None:
+    if memo is not None:
         key = _autotune_cache_key(
             analysis, device, env, window, block_sizes, keep_top,
             apply_control_dop,
         )
         try:
-            hit = cache.get(key)
+            hit = memo.get(key)
+            count_memo("autotune", "misses" if hit is None else "hits")
             fault = maybe_inject("memo")
             if fault is not None and hit is not None:
                 hit = replace(hit, mapping=None)
@@ -145,7 +150,7 @@ def autotune_mapping(
                 hit.mapping, Mapping
             ) and math.isfinite(hit.time_us):
                 return replace(hit, cache_hit=True)
-            cache.invalidate(key)
+            count_memo("autotune", "invalidations", memo.pop(key))
 
     sizes = tuple(analysis.level_sizes())
     splittable = analysis.constraints.span_all_levels()
@@ -219,10 +224,10 @@ def autotune_mapping(
             else ""
         ),
     )
-    if cache is not None and key is not None and not result.degraded:
+    if memo is not None and key is not None and not result.degraded:
         # Best-so-far under a budget is not the true optimum for this
         # key; caching it would poison budget-free callers.
-        cache.put(key, result)
+        count_memo("autotune", "evictions", memo.put(key, result))
     return result
 
 

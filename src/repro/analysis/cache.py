@@ -1,23 +1,29 @@
-"""Cross-sweep memoization for mapping-search results.
+"""The process's bounded memos and the mapping search's memo keys.
+
+:class:`LRUCache` is the one bounded memo in the process.  It holds the
+cross-sweep search memo and the auto-tune memo below, the vectorized
+engine's candidate structures and their DOP tables, the request-digest
+memo, the artifact store's verified hashes, and the fleet router's hot
+tier.  It counts nothing: each owner counts its own hits and evictions
+where it reads and writes (``cache.search.*`` and ``cache.autotune.*``
+in the process registry for the two memos here).
 
 Shape sweeps and repeated kernels re-run Algorithm 1 with identical
-inputs; this module gives the search a process-wide LRU cache keyed by a
-canonical fingerprint of everything the result depends on: the constraint
-set (every field of every constraint), the nest depth, the analysis
-sizes, the block-size grid, the DOP window, the tie-break seed, and
-whether all candidates are retained.  Two searches with equal keys return
-byte-identical results, so serving the memo is safe.
-
-A second, smaller cache memoizes the cost-model auto-tuner, whose key
-additionally covers the kernel IR, the size environment, and the device
-(the cost model reads all three).
+inputs, so the search memo is keyed by a canonical fingerprint of
+everything the result depends on: the constraint set (every field of
+every constraint), the nest depth, the analysis sizes, the block-size
+grid, the DOP window, the tie-break seed, and whether all candidates are
+retained.  Two searches with equal keys return byte-identical results,
+so serving the memo is safe.  The auto-tune memo's key additionally
+covers the kernel IR, the size environment, and the device (the cost
+model reads all three).  Both live only as long as the process.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
-from collections import OrderedDict
 from typing import Any, Hashable, Optional, Tuple
 
 from ..observability import get_metrics
@@ -85,175 +91,98 @@ def search_cache_key(
     )
 
 
-@dataclasses.dataclass
-class CacheStats:
-    """Hit/miss counters, snapshot at read time."""
-
-    hits: int
-    misses: int
-    size: int
-    maxsize: int
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 #: Sentinel distinguishing "absent" from a stored ``None``.
 _MISSING = object()
 
 
-class SearchCache:
-    """A small thread-safe LRU keyed by canonical search fingerprints.
+class LRUCache:
+    """The one bounded memo: a thread-safe LRU of at most ``capacity``
+    entries (``0`` disables it: every lookup misses, nothing is kept).
 
-    ``name`` labels this cache's metrics (``cache.<name>.hits`` /
-    ``.misses`` / ``.evictions`` / ``.invalidations`` in the registry);
-    the internal counters remain authoritative for :meth:`stats`.
+    It counts nothing.  :meth:`put` returns its evictions and
+    :meth:`pop` whether it dropped anything, so each owner counts what
+    it needs where it reads and writes.  Entries are shared with every
+    reader; callers must not mutate them.
     """
 
-    def __init__(self, maxsize: int = 4096, name: str = "search") -> None:
-        self.maxsize = maxsize
-        self.name = name
-        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
+    def __init__(self, capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError("LRU capacity cannot be negative")
+        self.capacity = capacity
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._entries = collections.OrderedDict()
 
-    def get(self, key: Tuple) -> Optional[Any]:
+    @property
+    def enabled(self) -> bool:
+        return self.capacity > 0
+
+    def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:
             try:
                 value = self._entries[key]
             except KeyError:
-                self._misses += 1
-                get_metrics().counter(f"cache.{self.name}.misses").inc()
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
-        get_metrics().counter(f"cache.{self.name}.hits").inc()
-        return value
+            return value
 
-    def put(self, key: Tuple, value: Any) -> None:
-        evicted = 0
+    def put(self, key: Hashable, value: Any) -> int:
+        """Insert or refresh ``key``; returns the evictions (0 or 1)."""
+        if not self.enabled:
+            return 0
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self._evictions += evicted
-        if evicted:
-            get_metrics().counter(
-                f"cache.{self.name}.evictions"
-            ).inc(evicted)
+            if len(self._entries) <= self.capacity:
+                return 0
+            self._entries.popitem(last=False)
+            return 1
 
-    def invalidate(self, key: Tuple) -> bool:
-        """Drop one entry (a hit that failed validation); True if present."""
+    def pop(self, key: Hashable) -> bool:
+        """Drop ``key``; True if it was present (a stored ``None`` too)."""
         with self._lock:
-            dropped = self._entries.pop(key, _MISSING) is not _MISSING
-        if dropped:
-            get_metrics().counter(f"cache.{self.name}.invalidations").inc()
-        return dropped
+            return self._entries.pop(key, _MISSING) is not _MISSING
 
-    def evict_where(self, predicate) -> int:
-        """Drop every entry whose ``(key, value)`` satisfies ``predicate``.
-
-        The scan runs over a snapshot taken under the lock, so concurrent
-        ``get``/``put`` calls during a sweep neither crash the iteration
-        nor deadlock on re-entry; entries inserted mid-sweep are simply
-        not considered.  Returns the number of entries dropped.
-        """
+    def clear(self) -> int:
         with self._lock:
-            snapshot = list(self._entries.items())
-        doomed = [key for key, value in snapshot if predicate(key, value)]
-        dropped = 0
-        with self._lock:
-            for key in doomed:
-                if self._entries.pop(key, _MISSING) is not _MISSING:
-                    dropped += 1
-        return dropped
-
-    def snapshot(self) -> list:
-        """A point-in-time copy of every ``(key, value)`` entry, in LRU
-        order (least recent first).
-
-        This is the persistence surface: the compile service pickles the
-        snapshot to disk and :meth:`load`\\ s it back on restart, so the
-        on-disk memo and the in-memory cache share one invalidation path
-        — whatever :meth:`invalidate`/:meth:`evict_where` dropped before
-        the snapshot simply is not in it.
-        """
-        with self._lock:
-            return list(self._entries.items())
-
-    def load(self, entries) -> int:
-        """Install ``(key, value)`` pairs (a prior :meth:`snapshot`).
-
-        Existing entries win LRU-recency over loaded ones only when
-        re-inserted later; loaded entries overwrite equal keys.  The
-        cache is trimmed to ``maxsize`` afterwards (oldest first), so
-        loading a snapshot from a larger cache cannot overflow this one.
-        Returns the number of entries installed.
-        """
-        installed = 0
-        evicted = 0
-        with self._lock:
-            for key, value in entries:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                installed += 1
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self._evictions += evicted
-        if evicted:
-            get_metrics().counter(f"cache.{self.name}.evictions").inc(evicted)
-        return installed
-
-    def clear(self) -> None:
-        with self._lock:
+            dropped = len(self._entries)
             self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-                evictions=self._evictions,
-            )
+            return dropped
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
 
-_SEARCH_CACHE = SearchCache(maxsize=4096, name="search")
-_AUTOTUNE_CACHE = SearchCache(maxsize=512, name="autotune")
+
+_SEARCH_CACHE = LRUCache(4096)
+_AUTOTUNE_CACHE = LRUCache(512)
 
 
-def get_search_cache() -> SearchCache:
-    """The process-wide mapping-search memo."""
+def get_search_cache() -> LRUCache:
+    """The process-wide mapping-search memo (``cache.search.*``)."""
     return _SEARCH_CACHE
 
 
-def get_autotune_cache() -> SearchCache:
-    """The process-wide auto-tune memo."""
+def get_autotune_cache() -> LRUCache:
+    """The process-wide auto-tune memo (``cache.autotune.*``)."""
     return _AUTOTUNE_CACHE
 
 
-def clear_caches() -> None:
-    """Reset both caches and their statistics (tests, benchmarks).
+def count_memo(name: str, event: str, amount: int = 1) -> None:
+    """Add ``amount`` to ``cache.<name>.<event>`` in the process registry
+    (``event`` is ``hits``, ``misses``, ``evictions`` or
+    ``invalidations``); a zero amount records nothing."""
+    if amount:
+        get_metrics().counter(f"cache.{name}.{event}").inc(amount)
 
-    Also drops the vectorized engine's candidate-structure memo so a
-    full reset leaves no process-wide search state behind.
-    """
+
+def clear_caches() -> None:
+    """Empty every process-wide memo (tests, benchmarks): the search and
+    auto-tune memos, the vectorized engine's candidate structures, and
+    the request-digest memo."""
     _SEARCH_CACHE.clear()
     _AUTOTUNE_CACHE.clear()
     from .vectorized import clear_batch_memo

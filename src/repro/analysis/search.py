@@ -59,7 +59,7 @@ from ..errors import ReproError, SearchError
 from ..observability import get_metrics, instrumented_stage
 from ..resilience.budget import Budget
 from ..resilience.faults import maybe_inject
-from .cache import get_search_cache, search_cache_key
+from .cache import count_memo, get_search_cache, search_cache_key
 from .constraints import ConstraintSet
 from .dop import DopWindow, control_dop
 from .mapping import (
@@ -152,14 +152,10 @@ class SearchResult:
             "candidates_skipped": self.candidates_skipped,
             "elapsed_ms": self.elapsed_ms,
             "degraded": self.degraded,
-            # getattr: results unpickled from artifacts written before the
-            # field existed must still render.  Rendered as a list so the
-            # dict is JSON-round-trip stable (provenance artifacts compare
-            # loaded against built).
+            # A list, so the dict is JSON-round-trip stable (provenance
+            # artifacts compare loaded against built).
             "batch_shape": (
-                list(self.batch_shape)
-                if getattr(self, "batch_shape", None) is not None
-                else None
+                None if self.batch_shape is None else list(self.batch_shape)
             ),
         }
 
@@ -547,15 +543,16 @@ def search_mapping(
         if budget is not None:
             budget.start()
 
-        cache = get_search_cache() if use_cache else None
+        memo = get_search_cache() if use_cache else None
         key = None
-        if cache is not None:
+        if memo is not None:
             key = search_cache_key(
                 cset, num_levels, sizes_t, block_sizes, window, keep_all,
                 seed,
             )
             try:
-                hit = cache.get(key)
+                hit = memo.get(key)
+                count_memo("search", "misses" if hit is None else "hits")
                 fault = maybe_inject("memo")
                 if fault is not None and hit is not None:
                     hit = _corrupt_memo_hit(hit, fault.kind)
@@ -570,7 +567,7 @@ def search_mapping(
                     _record_search_metrics(result)
                     return result
                 # Corrupt or stale entry: discard it and recompute.
-                cache.invalidate(key)
+                count_memo("search", "invalidations", memo.pop(key))
 
         result = _search_fresh(
             num_levels, cset, sizes_t, window, block_sizes, keep_all, seed,
@@ -581,10 +578,10 @@ def search_mapping(
         # flow through here, so a budget-exhausted search reports the
         # true wall time of this call exactly once.
         result.elapsed_ms = (time.perf_counter() - start) * 1e3
-        if cache is not None and key is not None and not result.degraded:
+        if memo is not None and key is not None and not result.degraded:
             # Degraded results are a budget artifact, not the true answer
             # for this key; caching them would poison budget-free callers.
-            cache.put(key, result)
+            count_memo("search", "evictions", memo.put(key, result))
         span.set(**result.telemetry())
     _record_search_metrics(result)
     return result

@@ -72,9 +72,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +86,7 @@ from ..config import (
 from ..errors import SearchError
 from ..observability import instrumented_stage
 from ..resilience.budget import Budget
+from .cache import LRUCache
 from .constraints import Constraint, ConstraintSet, has_batch_predicate
 from .dop import DopWindow
 from .mapping import (
@@ -334,7 +334,8 @@ class _CandidateStructure:
     soft constraints exist) never enter, so one structure serves every
     search over the same shape.  ``shared`` is the lazy-expansion cache
     handed to every batch built from this structure; ``dop_memo`` caches
-    the per-(grid row, span combo) DOP table per analysis-size tuple.
+    the per-(grid row, span combo) DOP table for the 8 most recently used
+    analysis-size tuples.  Concurrent searches share both.
     """
 
     __slots__ = (
@@ -399,7 +400,7 @@ class _CandidateStructure:
         ).reshape(self.span_tile, num_levels)
         self.grid_codes = _grid_codes(grid_table, block_sizes)
         self.shared: dict = {}
-        self.dop_memo: Dict[Tuple[int, ...], Tuple] = {}
+        self.dop_memo = LRUCache(8)
 
     def batch(self, sizes: Tuple[int, ...]) -> CandidateBatch:
         """A batch over this structure at the given analysis sizes.
@@ -423,15 +424,12 @@ class _CandidateStructure:
         )
 
 
-_STRUCTURE_MEMO: Dict[Tuple, _CandidateStructure] = {}
-_STRUCTURE_MEMO_MAX = 16
-_STRUCTURE_LOCK = threading.Lock()
+_STRUCTURE_MEMO = LRUCache(16)
 
 
 def clear_batch_memo() -> None:
     """Drop the memoized candidate structures (tests, benchmarks)."""
-    with _STRUCTURE_LOCK:
-        _STRUCTURE_MEMO.clear()
+    _STRUCTURE_MEMO.clear()
 
 
 def _structure_for(
@@ -445,20 +443,14 @@ def _structure_for(
         )
     )
     key = (num_levels, block_sizes, forced)
-    with _STRUCTURE_LOCK:
-        struct = _STRUCTURE_MEMO.get(key)
-    if struct is not None:
-        return struct
-    struct = _CandidateStructure(
-        num_levels, block_sizes, span_options_for_levels(cset, num_levels)
-    )
-    with _STRUCTURE_LOCK:
-        existing = _STRUCTURE_MEMO.get(key)
-        if existing is not None:
-            return existing
-        while len(_STRUCTURE_MEMO) >= _STRUCTURE_MEMO_MAX:
-            _STRUCTURE_MEMO.pop(next(iter(_STRUCTURE_MEMO)))
-        _STRUCTURE_MEMO[key] = struct
+    struct = _STRUCTURE_MEMO.get(key)
+    if struct is None:
+        # A structure is a pure function of its key, so a racing
+        # duplicate build is only wasted work.
+        struct = _CandidateStructure(
+            num_levels, block_sizes, span_options_for_levels(cset, num_levels)
+        )
+        _STRUCTURE_MEMO.put(key, struct)
     return struct
 
 
@@ -624,9 +616,7 @@ def _dop_table_cached(
     cached = struct.dop_memo.get(sizes_t)
     if cached is None:
         cached = _dop_table(struct, sizes_t)
-        if len(struct.dop_memo) >= 8:
-            struct.dop_memo.pop(next(iter(struct.dop_memo)))
-        struct.dop_memo[sizes_t] = cached
+        struct.dop_memo.put(sizes_t, cached)
     return cached
 
 

@@ -490,8 +490,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with capture() as obs:
         service = CompileService(config)
         server = make_server(service, args.host, args.port)
-        # SIGTERM must unwind the same path as Ctrl-C so the memo
-        # snapshot and the trace artifact survive `kill` (CI does this).
+        # SIGTERM must unwind the same path as Ctrl-C so the trace
+        # artifact survives `kill` (CI does this).
         # Raising is mandatory here: server.shutdown() blocks on the
         # serve loop, which the handler itself is preempting — deadlock.
         def _terminate(*_args: object) -> None:

@@ -7,6 +7,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..gpusim.device import GpuDevice, default_device
+from ..observability import capture
 from .registry import EXPERIMENTS
 from .tables import ExperimentResult
 
@@ -28,19 +29,23 @@ def run_all(device: Optional[GpuDevice] = None) -> List[ExperimentResult]:
     return [run_experiment(eid, device) for eid in EXPERIMENTS]
 
 
-def search_cache_summary() -> str:
-    """One line on how much the experiment sweeps reused memoized searches.
+def search_cache_summary(metrics) -> str:
+    """One line on how much the experiment sweeps reused memoized searches,
+    read from the ``cache.search.*`` counters of ``metrics`` (the registry
+    of the :func:`~repro.observability.capture` the sweeps ran under).
 
     Figure sweeps re-analyze the same kernels across many shapes, so the
     hit rate here is the cross-sweep payoff of the search memo.
     """
     from ..analysis.cache import get_search_cache
 
-    stats = get_search_cache().stats()
+    hits = int(metrics.counter("cache.search.hits").value)
+    misses = int(metrics.counter("cache.search.misses").value)
+    rate = hits / (hits + misses) if hits + misses else 0.0
     return (
-        f"search cache: {stats.hits} hits / {stats.misses} misses "
-        f"({100.0 * stats.hit_rate:.0f}% hit rate, "
-        f"{stats.size} entries)"
+        f"search cache: {hits} hits / {misses} misses "
+        f"({100.0 * rate:.0f}% hit rate, "
+        f"{len(get_search_cache())} entries)"
     )
 
 
@@ -258,9 +263,10 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     """CLI: ``python -m repro.figures [fig3 fig12 ...]`` (default: all)."""
     args = list(argv if argv is not None else sys.argv[1:])
     ids = args or list(EXPERIMENTS)
-    for eid in ids:
-        result = run_experiment(eid)
-        print(result.render())
-        print()
-    print(search_cache_summary())
+    with capture() as observation:
+        for eid in ids:
+            result = run_experiment(eid)
+            print(result.render())
+            print()
+    print(search_cache_summary(observation.metrics))
     return 0

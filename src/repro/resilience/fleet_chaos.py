@@ -338,7 +338,7 @@ def run_fleet_chaos_campaign(
         LocalBackend(
             f"backend-{i}",
             CompileService(
-                ServiceConfig(cache_dir=None, memo_persistence=False),
+                ServiceConfig(cache_dir=None),
                 compile_fn=_fake_compile_fn,
             ),
         )

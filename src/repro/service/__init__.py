@@ -8,7 +8,6 @@ package amortizes it across requests *and* restarts:
   :class:`CompileOutcome`);
 * :mod:`.store` — persistent content-addressed artifact store keyed by
   :func:`repro.ir.serialize.compile_digest`;
-* :mod:`.memo` — snapshot/load persistence for the in-memory sweep memo;
 * :mod:`.admission` — the admission core the service and the router
   share: digest, cache-tier lookup, single-flight, bounded queue,
   worker threads, shutdown;
@@ -16,8 +15,8 @@ package amortizes it across requests *and* restarts:
   workers that run the pipeline;
 * :mod:`.http` / :mod:`.client` — stdlib JSON-over-HTTP server and
   client (``repro serve`` / ``repro submit``);
-* :mod:`.router` — consistent-hash ring + hot in-memory LRU artifact
-  tier;
+* :mod:`.router` — the consistent-hash ring that places digests on
+  backends;
 * :mod:`.fleet` — the digest-sharded front-end router over N backends
   with fleet-wide single-flight and failover (``repro fleet``);
 * :mod:`.dashboard` — the live fleet terminal dashboard renderer
@@ -50,8 +49,7 @@ from .fleet import (  # noqa: F401
     local_fleet,
     spawn_http_fleet,
 )
-from .memo import load_memo, save_memo  # noqa: F401
-from .router import HashRing, LRUCache  # noqa: F401
+from .router import HashRing  # noqa: F401
 from .service import CompileService, ServiceConfig  # noqa: F401
 from .store import (  # noqa: F401
     ARTIFACT_VERSION,
@@ -73,7 +71,6 @@ __all__ = [
     "FleetRouter",
     "HashRing",
     "HttpBackend",
-    "LRUCache",
     "LocalBackend",
     "ServiceClient",
     "ServiceConfig",
@@ -85,11 +82,9 @@ __all__ = [
     "artifact_fingerprint",
     "build_artifact",
     "clear_digest_memo",
-    "load_memo",
     "local_fleet",
     "render_fleet_top",
     "request_for_program",
     "run_fleet_top",
-    "save_memo",
     "spawn_http_fleet",
 ]

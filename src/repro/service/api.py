@@ -22,11 +22,10 @@ without parsing or re-encoding it.
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..analysis.cache import LRUCache
 from ..errors import IRError, RuntimeConfigError
 from ..gpusim.device import DEVICES, GpuDevice, default_device
 from ..ir.patterns import Program
@@ -51,15 +50,12 @@ STATUS_ERROR = "error"            # the pipeline raised a typed error
 #: The digest is a pure function of the request content, so a small
 #: process-wide LRU makes repeat submissions (the warm case by
 #: definition) cost one JSON dump instead.
-_DIGEST_MEMO_CAPACITY = 1024
-_DIGEST_MEMO: "OrderedDict[str, str]" = OrderedDict()
-_DIGEST_MEMO_LOCK = threading.Lock()
+_DIGEST_MEMO = LRUCache(1024)
 
 
 def clear_digest_memo() -> None:
     """Drop the request-digest memo (tests, benchmarks)."""
-    with _DIGEST_MEMO_LOCK:
-        _DIGEST_MEMO.clear()
+    _DIGEST_MEMO.clear()
 
 
 @dataclass
@@ -270,11 +266,9 @@ class CompileRequest:
         content.pop("trace_id", None)
         content.pop("parent_span_id", None)
         key = json.dumps(content, sort_keys=True)
-        with _DIGEST_MEMO_LOCK:
-            cached = _DIGEST_MEMO.get(key)
-            if cached is not None:
-                _DIGEST_MEMO.move_to_end(key)
-                return cached
+        cached = _DIGEST_MEMO.get(key)
+        if cached is not None:
+            return cached
         program, device, sizes = self.resolve()
         program = canonicalize_program(program)
         digest = canonical_digest(
@@ -285,11 +279,7 @@ class CompileRequest:
             sizes=sizes,
         )
         self._resolved = (digest, program, device, sizes)
-        with _DIGEST_MEMO_LOCK:
-            _DIGEST_MEMO[key] = digest
-            _DIGEST_MEMO.move_to_end(key)
-            while len(_DIGEST_MEMO) > _DIGEST_MEMO_CAPACITY:
-                _DIGEST_MEMO.popitem(last=False)
+        _DIGEST_MEMO.put(key, digest)
         return digest
 
     def compile_inputs(

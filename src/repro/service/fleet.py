@@ -74,6 +74,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import config as _config
+from ..analysis.cache import LRUCache
 from ..errors import QueueFullError, ReproError, ServiceError
 from ..observability import (
     emit_event,
@@ -91,7 +92,7 @@ from ..resilience.retry import backoff_delays
 from .admission import Admission, Job, Ticket, error_outcome
 from .api import STATUS_ERROR, CompileOutcome, CompileRequest
 from .client import ServiceClient
-from .router import HashRing, LRUCache
+from .router import HashRing
 from .service import CompileService, ServiceConfig
 from .store import ArtifactStore, CompileArtifact, StoredDocument
 
@@ -187,8 +188,9 @@ class LocalBackend(Backend):
         self.service.close()
 
     def kill(self) -> None:
-        """Abrupt death for failover tests: no memo snapshot."""
-        self.service.close(save=False)
+        """Death for failover tests: an in-process service has nothing
+        more abrupt than closing."""
+        self.close()
 
 
 class HttpBackend(Backend):
@@ -372,6 +374,8 @@ class FleetRouter(Admission):
         self.config = config or FleetConfig()
         self.backends: Dict[str, Backend] = {b.name: b for b in backends}
         self.ring = HashRing(names)
+        #: The hot tier: digest -> body-only StoredDocument (canonical
+        #: JSON bytes a hit splices into the response as they are).
         self.lru = LRUCache(self.config.lru_capacity)
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(self.config.cache_dir)
@@ -863,21 +867,12 @@ def local_fleet(
     ] = None,
     **service_kwargs: Any,
 ) -> FleetRouter:
-    """A router over ``backends`` in-process services sharing one store.
-
-    Only the first backend persists/restores the sweep memo — the memo
-    caches are process-global, so one restore covers every backend and
-    concurrent snapshot writes on shutdown would be redundant.
-    """
+    """A router over ``backends`` in-process services sharing one store."""
     if backends < 1:
         raise ServiceError("a fleet needs at least one backend")
     members: List[Backend] = []
     for index in range(backends):
-        config = ServiceConfig(
-            cache_dir=cache_dir,
-            memo_persistence=(index == 0),
-            **service_kwargs,
-        )
+        config = ServiceConfig(cache_dir=cache_dir, **service_kwargs)
         members.append(
             LocalBackend(
                 f"backend-{index}",

@@ -1,26 +1,19 @@
-"""Routing primitives for the compile fleet: hash ring + hot LRU tier.
+"""Consistent-hash placement for the compile fleet.
 
-Two deliberately small, independently testable pieces:
+:class:`HashRing` hashes backend names onto a ring.  Requests are placed
+by their :func:`~repro.ir.serialize.compile_digest`, so one digest
+always lands on the same backend while that backend is in the ring;
+adding or removing a node only moves the ``1/N`` of the keyspace
+adjacent to its points (virtual replicas keep the shares balanced).
+:meth:`HashRing.preference` yields the full failover order — the primary
+first, then each distinct successor clockwise — which is the retry
+schedule the fleet router walks on backend death or saturation.
 
-* :class:`HashRing` — consistent hashing over backend names.  Requests
-  are placed by their :func:`~repro.ir.serialize.compile_digest`, so one
-  digest always lands on the same backend while that backend is in the
-  ring; adding or removing a node only moves the ``1/N`` of the keyspace
-  adjacent to its points (virtual replicas keep the shares balanced).
-  :meth:`HashRing.preference` yields the full failover order — the
-  primary first, then each distinct successor clockwise — which is the
-  retry schedule the fleet router walks on backend death or saturation.
-
-* :class:`LRUCache` — the hot in-memory artifact tier layered over the
-  shared content-addressed disk store.  Digest-keyed, capacity-bounded,
-  thread-safe; serves repeat requests without touching the disk objects
-  or any backend.  ``capacity=0`` disables the tier (every lookup is a
-  miss), which load benchmarks use to measure the layers separately.
-
-Both structures are deterministic: the ring hashes with SHA-256 (no
-process-seeded ``hash()``), so placement is stable across processes and
-restarts — a prerequisite for sharding one disk store between fleet
-members without them shuffling ownership every boot.
+The ring is deterministic: it hashes with SHA-256 (no process-seeded
+``hash()``), so placement is stable across processes and restarts — a
+prerequisite for sharding one disk store between fleet members without
+them shuffling ownership every boot.  The router's hot artifact tier is
+the process's one bounded memo, :class:`repro.analysis.cache.LRUCache`.
 """
 
 from __future__ import annotations
@@ -28,8 +21,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from bisect import bisect_right, insort
-from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Virtual points per node.  64 keeps the largest/smallest keyspace
 #: share within a few percent for small fleets while the ring stays
@@ -143,65 +135,4 @@ class HashRing:
         return {node: count / samples for node, count in counts.items()}
 
 
-class LRUCache:
-    """Thread-safe digest-keyed LRU.  It counts nothing: :meth:`put`
-    returns its evictions and the router counts them.
-
-    The fleet router stores body-only
-    :class:`~repro.service.store.StoredDocument` values: an artifact's
-    canonical JSON bytes, which a hit splices into the response as they
-    are (about a third of the memory of the parsed dict).  Entries are
-    shared across requests; the cache never mutates them and callers
-    must not either.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("LRU capacity cannot be negative")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def get(self, key: str) -> Optional[Any]:
-        if not self.enabled:
-            return None
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                return None
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: str, value: Any) -> int:
-        """Insert or refresh ``key``; returns the evictions (0 or 1)."""
-        if not self.enabled:
-            return 0
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if len(self._entries) <= self.capacity:
-                return 0
-            self._entries.popitem(last=False)
-            return 1
-
-    def clear(self) -> int:
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-
-__all__ = ["DEFAULT_RING_REPLICAS", "HashRing", "LRUCache"]
+__all__ = ["DEFAULT_RING_REPLICAS", "HashRing"]

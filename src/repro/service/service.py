@@ -13,12 +13,12 @@ single-flight join, bounded queue) and adds only its own work::
       persist the artifact (the store files its recipe too) and hand on
         the body it wrote
 
-Three cache layers cooperate: the in-memory sweep memo
-(:mod:`repro.analysis.cache`, restored from disk via
-:mod:`repro.service.memo`) accelerates *similar* requests, the artifact
-store (:mod:`repro.service.store`) serves *identical* requests across
-restarts, and the single-flight table collapses *concurrent identical*
-requests into one pipeline run.
+Three cache layers cooperate: the in-memory search memo
+(:mod:`repro.analysis.cache`, as long as the process lives) accelerates
+*similar* requests, the artifact store (:mod:`repro.service.store`)
+serves *identical* requests across restarts, and the single-flight
+table collapses *concurrent identical* requests into one pipeline run.
+The cache dir holds only the store's verified objects.
 
 Every count lives once, in the service's own registry
 (:attr:`~repro.service.admission.Admission.metrics`):
@@ -38,7 +38,6 @@ from ..observability import get_tracer
 from ..resilience.budget import Budget
 from .admission import Admission, Job, Ticket
 from .api import STATUS_HIT, STATUS_MISS, CompileOutcome, CompileRequest
-from .memo import load_memo, save_memo
 from .store import (
     ArtifactStore,
     CompileArtifact,
@@ -54,13 +53,11 @@ class ServiceConfig:
     workers: int = _config.DEFAULT_SERVICE_WORKERS
     queue_limit: int = _config.DEFAULT_SERVICE_QUEUE_LIMIT
     #: Root of the persistent artifact store; ``None`` disables
-    #: persistence (in-flight dedup and the sweep memo still apply).
+    #: persistence (in-flight dedup and the search memo still apply).
     cache_dir: Optional[str] = None
     #: Per-request search budget (conservative fallback on exhaustion).
     deadline_s: Optional[float] = _config.DEFAULT_REQUEST_DEADLINE_S
     max_nodes: Optional[int] = None
-    #: Persist the in-memory sweep memo across restarts (needs cache_dir).
-    memo_persistence: bool = True
 
 
 class CompileService(Admission):
@@ -104,9 +101,6 @@ class CompileService(Admission):
             if self.config.cache_dir
             else None
         )
-        self.memo_restored: Dict[str, int] = {"search": 0}
-        if self.store is not None and self.config.memo_persistence:
-            self.memo_restored = load_memo(self.config.cache_dir)
         super().__init__(self.config.workers, self.config.queue_limit)
 
     # -- public API ------------------------------------------------------
@@ -134,7 +128,6 @@ class CompileService(Admission):
         """A JSON-serializable snapshot of service health."""
         snapshot: Dict[str, Any] = {
             "workers": self.config.workers,
-            "memo_restored": dict(self.memo_restored),
             **self._admission_stats(),
         }
         if self.store is not None:
@@ -142,21 +135,15 @@ class CompileService(Admission):
         return snapshot
 
     def close(self, save: bool = True) -> None:
-        """Drain workers and (by default) persist the sweep memo.
+        """Drain workers.  Every admitted job is resolved before this
+        returns (see :meth:`~repro.service.admission.Admission._shutdown`).
 
-        Every admitted job is resolved before this returns (see
-        :meth:`~repro.service.admission.Admission._shutdown`).
+        ``save`` has no effect: nothing but the store outlives the
+        process, and the store is written as each artifact completes.
+        It is kept because callers such as ``perfbench/run.py`` still
+        pass ``save=False``.
         """
-        if (
-            self._shutdown()
-            and save
-            and self.store is not None
-            and self.config.memo_persistence
-        ):
-            try:
-                save_memo(self.config.cache_dir)
-            except OSError:
-                pass  # persistence is best-effort; the store is intact
+        self._shutdown()
 
     # -- admission hooks -------------------------------------------------
 

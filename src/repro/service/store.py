@@ -33,14 +33,13 @@ import json
 import os
 import re
 import tempfile
-import threading
 import time
-from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..analysis.cache import LRUCache
 from ..ir.serialize import PIPELINE_VERSION, canonical_json, content_digest
 
 #: Bumped on any incompatible artifact-layout change; loaders check it.
@@ -54,7 +53,7 @@ QUARANTINE_REASONS = (
 )
 
 #: How many verified body hashes one store remembers (one per digest
-#: and tree, about 200 B each); the oldest entry is dropped first.
+#: and tree, about 200 B each); the least recently read is dropped first.
 VERIFIED_CAPACITY = 4096
 
 #: The only shape a content address can take: a lowercase hex SHA-256.
@@ -290,9 +289,8 @@ class ArtifactStore:
         self.recipes = self.root / "recipes"
         self.recipes.mkdir(parents=True, exist_ok=True)
         #: ``(tree name, digest)`` -> header of the last body that
-        #: passed every check, oldest entry first.
-        self._verified: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
-        self._verified_lock = threading.Lock()
+        #: passed every check.
+        self._verified = LRUCache(VERIFIED_CAPACITY)
 
     @staticmethod
     def _file(tree: Path, digest: str) -> Path:
@@ -368,10 +366,7 @@ class ArtifactStore:
             reason = self._check(tree, digest, body, hashed)
             if reason is not None:
                 return self._quarantine(path, tree, reason)
-            with self._verified_lock:
-                self._verified[key] = hashed
-                while len(self._verified) > VERIFIED_CAPACITY:
-                    self._verified.popitem(last=False)
+            self._verified.put(key, hashed)
         return StoredDocument(body)
 
     def _check(

@@ -1,38 +1,37 @@
-"""Concurrency stress for the search memo.
+"""Invalidation and concurrency for the one bounded memo.
 
-``evict_where`` iterates the entry table while other threads mutate it;
-this pins the snapshot-under-lock design: no ``RuntimeError: dictionary
-changed size during iteration``, no deadlock, no overflow past
-``maxsize``, and sane hit/miss accounting under contention.
+Every in-process memo is an :class:`~repro.analysis.cache.LRUCache`
+shared by concurrent searches and requests.  These pin its contract
+under contention: ``pop`` tells a stored ``None`` from an absent key, no
+``RuntimeError: dictionary changed size during iteration``, no
+deadlock, and no overflow past ``capacity``.
 """
 
+import sys
 import threading
 
-from repro.analysis.cache import SearchCache
+from repro.analysis.cache import LRUCache
+from repro.analysis.constraints import ConstraintSet
+from repro.analysis.search import span_options_for_levels
+from repro.analysis.vectorized import _CandidateStructure, _dop_table_cached
+from repro.config import BLOCK_SIZE_CANDIDATES
 
 
 class TestCacheBasics:
     def test_invalidate_present_and_absent(self):
-        cache = SearchCache(maxsize=8)
+        cache = LRUCache(8)
         cache.put(("k",), 1)
-        assert cache.invalidate(("k",))
-        assert not cache.invalidate(("k",))
+        assert cache.pop(("k",))
+        assert not cache.pop(("k",))
         assert cache.get(("k",)) is None
 
     def test_invalidate_distinguishes_stored_none(self):
-        cache = SearchCache(maxsize=8)
+        cache = LRUCache(8)
         cache.put(("k",), None)
-        assert cache.invalidate(("k",))
-
-    def test_evict_where_counts_drops(self):
-        cache = SearchCache(maxsize=16)
-        for i in range(10):
-            cache.put(("k", i), i)
-        dropped = cache.evict_where(lambda key, value: value % 2 == 0)
-        assert dropped == 5
-        assert len(cache) == 5
-        assert cache.get(("k", 1)) == 1
-        assert cache.get(("k", 2)) is None
+        assert ("k",) in cache
+        assert cache.pop(("k",))
+        assert ("k",) not in cache
+        assert not cache.pop(("k",))
 
 
 class TestCacheStress:
@@ -40,8 +39,7 @@ class TestCacheStress:
     ITERATIONS = 400
 
     def test_concurrent_mutation_during_eviction_sweeps(self):
-        cache = SearchCache(maxsize=64)
-        stop = threading.Event()
+        cache = LRUCache(64)
         errors = []
 
         def hammer(worker: int) -> None:
@@ -49,20 +47,14 @@ class TestCacheStress:
                 for i in range(self.ITERATIONS):
                     key = ("stress", worker, i % 40)
                     cache.put(key, i)
-                    cache.get(key)
+                    value = cache.get(key)
+                    assert value is None or isinstance(value, int)
                     cache.get(("stress", (worker + 1) % self.THREADS, i % 40))
                     if i % 7 == 0:
-                        cache.invalidate(key)
-                    if i % 23 == 0:
-                        cache.evict_where(
-                            lambda k, v: isinstance(v, int) and v % 3 == 0
-                        )
-                    if i % 97 == 0:
-                        cache.stats()
+                        cache.pop(key)
+                    assert len(cache) <= cache.capacity
             except Exception as exc:  # noqa: BLE001 - the test's whole point
                 errors.append(exc)
-            finally:
-                stop.set()
 
         threads = [
             threading.Thread(target=hammer, args=(w,))
@@ -74,12 +66,10 @@ class TestCacheStress:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads), "stress test deadlocked"
         assert not errors, f"concurrent mutation raised: {errors[:3]}"
-        assert len(cache) <= cache.maxsize
-        stats = cache.stats()
-        assert stats.hits + stats.misses > 0
+        assert len(cache) <= cache.capacity
 
     def test_concurrent_clear_and_put(self):
-        cache = SearchCache(maxsize=32)
+        cache = LRUCache(32)
         errors = []
 
         def writer() -> None:
@@ -103,79 +93,46 @@ class TestCacheStress:
         for t in threads:
             t.join(timeout=60)
         assert not errors
-        assert len(cache) <= cache.maxsize
+        assert len(cache) <= cache.capacity
 
 
-class TestSnapshotLoad:
-    """snapshot()/load() back the service's cross-restart memo: whatever
-    ``invalidate``/``evict_where`` dropped must be absent from the next
-    snapshot, so both persistence layers share one invalidation path."""
+class TestDopMemoRace:
+    """Concurrent searches over one candidate structure (a multi-worker
+    ``repro serve``, or two in-process fleet backends) share its DOP
+    memo."""
 
-    def test_round_trip(self):
-        source = SearchCache(maxsize=16)
-        for i in range(10):
-            source.put(("k", i), i * i)
-        target = SearchCache(maxsize=16)
-        assert target.load(source.snapshot()) == 10
-        for i in range(10):
-            assert target.get(("k", i)) == i * i
+    THREADS = 4
+    CALLS = 500
 
-    def test_snapshot_reflects_eviction(self):
-        cache = SearchCache(maxsize=16)
-        for i in range(10):
-            cache.put(("k", i), i)
-        cache.evict_where(lambda key, value: value % 2 == 0)
-        cache.invalidate(("k", 1))
-        snapshot = dict(cache.snapshot())
-        assert set(snapshot.values()) == {3, 5, 7, 9}
-
-    def test_load_respects_maxsize(self):
-        source = SearchCache(maxsize=64)
-        for i in range(40):
-            source.put(("k", i), i)
-        target = SearchCache(maxsize=8)
-        target.load(source.snapshot())
-        assert len(target) <= 8
-        # LRU semantics: the most recently snapshotted entries survive.
-        assert target.get(("k", 39)) == 39
-
-    def test_load_preserves_stored_none(self):
-        source = SearchCache(maxsize=8)
-        source.put(("k",), None)
-        target = SearchCache(maxsize=8)
-        target.load(source.snapshot())
-        assert target.invalidate(("k",)), "stored None must round-trip"
-
-    def test_concurrent_snapshot_load_during_eviction_sweeps(self):
-        cache = SearchCache(maxsize=64)
-        mirror = SearchCache(maxsize=64)
+    def test_concurrent_dop_tables_on_one_structure(self):
+        struct = _CandidateStructure(
+            2,
+            tuple(BLOCK_SIZE_CANDIDATES),
+            span_options_for_levels(ConstraintSet(), 2),
+        )
         errors = []
 
-        def writer() -> None:
+        def search(worker: int) -> None:
             try:
-                for i in range(400):
-                    cache.put(("w", i % 80), i)
-                    if i % 13 == 0:
-                        cache.evict_where(
-                            lambda k, v: isinstance(v, int) and v % 2 == 0
-                        )
-            except Exception as exc:  # noqa: BLE001
+                for i in range(self.CALLS):
+                    # Every call has its own sizes: a miss that evicts.
+                    _dop_table_cached(struct, (64 + worker, 64 + i))
+            except Exception as exc:  # noqa: BLE001 - the test's whole point
                 errors.append(exc)
 
-        def persister() -> None:
-            try:
-                for _ in range(100):
-                    mirror.load(cache.snapshot())
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        threads.append(threading.Thread(target=persister))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        threads = [
+            threading.Thread(target=search, args=(w,))
+            for w in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads), "deadlocked"
-        assert not errors, f"concurrent snapshot/load raised: {errors[:3]}"
-        assert len(cache) <= cache.maxsize
-        assert len(mirror) <= mirror.maxsize
+        assert not errors, f"concurrent DOP tables raised: {errors[:3]}"
+        assert len(struct.dop_memo) <= 8

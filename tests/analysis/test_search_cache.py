@@ -10,7 +10,7 @@ separates.
 import pytest
 
 from repro.analysis.cache import (
-    SearchCache,
+    LRUCache,
     clear_caches,
     constraint_set_fingerprint,
     get_search_cache,
@@ -23,6 +23,8 @@ from repro.analysis.constraints import (
     SpanAllRequired,
 )
 from repro.analysis.dop import DopWindow
+from repro.analysis.search import search_mapping
+from repro.observability import capture
 
 
 def make_cset(coalesce_weight=2.0, coalesce_level=1):
@@ -81,17 +83,26 @@ def test_constraint_order_is_part_of_identity():
 
 
 def test_lru_eviction_and_stats():
-    cache = SearchCache(maxsize=2)
+    cache = LRUCache(2)
     cache.put(("a",), 1)
     cache.put(("b",), 2)
     assert cache.get(("a",)) == 1  # refreshes "a"
-    cache.put(("c",), 3)  # evicts "b", the least recently used
+    assert cache.put(("c",), 3) == 1  # evicts "b", the least recently used
     assert cache.get(("b",)) is None
     assert cache.get(("a",)) == 1
     assert cache.get(("c",)) == 3
-    stats = cache.stats()
-    assert (stats.hits, stats.misses, stats.size) == (3, 1, 2)
-    assert stats.hit_rate == pytest.approx(0.75)
+    assert len(cache) == 2
+
+    # The memo counts nothing; the search counts its reads in the
+    # process registry.
+    clear_caches()
+    with capture() as observation:
+        for _ in range(4):
+            search_mapping(2, make_cset(), (128, 4096))
+    counters = observation.metrics.to_dict()["counters"]
+    assert counters["cache.search.hits"] == 3
+    assert counters["cache.search.misses"] == 1
+    assert len(get_search_cache()) == 1
 
 
 def test_clear_caches_resets_global_memo():
@@ -101,4 +112,3 @@ def test_clear_caches_resets_global_memo():
     assert len(cache) == 1
     clear_caches()
     assert len(cache) == 0
-    assert cache.stats().hits == 0

@@ -187,7 +187,7 @@ class TestRouterDrivenTransitions:
         from repro.service.service import CompileService, ServiceConfig
 
         service = CompileService(
-            ServiceConfig(cache_dir=None, memo_persistence=False),
+            ServiceConfig(cache_dir=None),
             compile_fn=lambda req, digest: None,
         )
         from repro.service.fleet import LocalBackend

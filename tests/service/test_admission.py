@@ -43,7 +43,7 @@ def gated_service(gate: threading.Event, workers: int) -> CompileService:
         return fake_artifact(digest)
 
     return CompileService(
-        ServiceConfig(workers=workers, memo_persistence=False),
+        ServiceConfig(workers=workers),
         compile_fn=compile_fn,
     )
 
@@ -95,7 +95,6 @@ def test_counters_stay_consistent_under_contention(tmp_path):
             workers=4,
             queue_limit=1024,
             cache_dir=str(tmp_path / "cache"),
-            memo_persistence=False,
         ),
         compile_fn=lambda req, digest: fake_artifact(digest),
     )

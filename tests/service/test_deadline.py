@@ -45,9 +45,7 @@ def request(deadline_s=None, **sizes) -> CompileRequest:
 
 
 def service(**kwargs) -> CompileService:
-    config = ServiceConfig(
-        cache_dir=None, memo_persistence=False, **kwargs
-    )
+    config = ServiceConfig(cache_dir=None, **kwargs)
     return CompileService(
         config, compile_fn=lambda req, digest: fake_artifact(digest)
     )
@@ -121,9 +119,7 @@ class TestServiceShedding:
             return fake_artifact(digest)
 
         svc = CompileService(
-            ServiceConfig(
-                cache_dir=None, memo_persistence=False, workers=1
-            ),
+            ServiceConfig(cache_dir=None, workers=1),
             compile_fn=blocking_compile,
         )
         try:
@@ -158,9 +154,7 @@ class TestServiceShedding:
             return fake_artifact(digest)
 
         svc = CompileService(
-            ServiceConfig(
-                cache_dir=None, memo_persistence=False, workers=1
-            ),
+            ServiceConfig(cache_dir=None, workers=1),
             compile_fn=blocking_compile,
         )
         try:

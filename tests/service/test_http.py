@@ -511,7 +511,7 @@ class TestClientTransportHardening:
 
         def new_service():
             return CompileService(
-                ServiceConfig(cache_dir=None, memo_persistence=False),
+                ServiceConfig(cache_dir=None),
                 compile_fn=lambda req, digest: fake_artifact(digest),
             )
 

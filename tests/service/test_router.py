@@ -1,10 +1,12 @@
-"""Routing primitives: consistent-hash ring and the hot LRU tier."""
+"""Routing primitives: the consistent-hash ring, and the one bounded
+memo as the router's hot LRU tier."""
 
 import threading
 
 import pytest
 
-from repro.service.router import DEFAULT_RING_REPLICAS, HashRing, LRUCache
+from repro.analysis.cache import LRUCache
+from repro.service.router import DEFAULT_RING_REPLICAS, HashRing
 
 
 class TestHashRing:

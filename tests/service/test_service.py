@@ -334,22 +334,63 @@ class TestPersistence:
         finally:
             second.close()
 
-    def test_memo_restored_across_restart(self, tmp_path):
-        from repro.analysis.cache import get_search_cache
+    def test_planted_memo_pickle_is_inert(self, tmp_path):
+        """A cache dir is input the service only reads through the store:
+        a planted ``memo.pkl`` whose unpickling would build an artifact
+        store elsewhere and start another compile service is never
+        opened."""
+        import pickle
 
-        cache_dir = str(tmp_path / "cache")
-        first = CompileService(ServiceConfig(workers=1, cache_dir=cache_dir))
-        try:
-            assert first.compile(request()).ok
-        finally:
-            first.close()  # persists the sweep memo
+        from repro.ir.serialize import PIPELINE_VERSION
+        from repro.service.store import ArtifactStore
 
-        get_search_cache().clear()
-        second = CompileService(ServiceConfig(workers=1, cache_dir=cache_dir))
+        class Build:
+            def __init__(self, cls, *args):
+                self.cls, self.args = cls, args
+
+            def __reduce__(self):
+                return self.cls, self.args
+
+        outside = tmp_path / "created-by-unpickling"
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        planted = cache_dir / "memo.pkl"
+        planted.write_bytes(pickle.dumps({
+            "version": 2,
+            "pipeline_version": PIPELINE_VERSION,
+            "search": [
+                Build(ArtifactStore, str(outside)),
+                Build(CompileService, Build(ServiceConfig, 1)),
+            ],
+        }))
+        payload = planted.read_bytes()
+        before = set(threading.enumerate())
+        service = CompileService(
+            ServiceConfig(workers=2, cache_dir=str(cache_dir)),
+            compile_fn=lambda req, digest: fake_artifact(digest),
+        )
         try:
-            assert second.memo_restored["search"] > 0
+            started = set(threading.enumerate()) - before
+            assert started == set(service._threads)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+            assert planted.read_bytes() == payload
         finally:
-            second.close()
+            service.close()
+        assert not outside.exists()
+        assert planted.read_bytes() == payload
+
+    def test_cache_dir_holds_only_the_store(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        service = CompileService(
+            ServiceConfig(workers=1, cache_dir=str(cache_dir))
+        )
+        try:
+            assert service.compile(request()).status == STATUS_MISS
+        finally:
+            service.close()
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "objects", "recipes",
+        ]
 
     def test_no_cache_dir_disables_persistence(self):
         service = CompileService(
@@ -465,11 +506,11 @@ class TestDigestMemo:
             bad.digest()
 
     def test_memo_is_bounded(self):
-        from repro.service.api import _DIGEST_MEMO, _DIGEST_MEMO_CAPACITY
+        from repro.service.api import _DIGEST_MEMO
 
         for i in range(8):
             request(R=64 + i, C=32).digest()
-        assert len(_DIGEST_MEMO) <= _DIGEST_MEMO_CAPACITY
+        assert len(_DIGEST_MEMO) <= _DIGEST_MEMO.capacity == 1024
 
 
 class TestOneResolution:
