@@ -60,15 +60,18 @@ def test_bench_cost_model(benchmark):
 
 
 def test_bench_codegen(benchmark):
-    """CUDA generation for a two-kernel program (codegen alone: analysis
-    and mappings come from one session compile)."""
+    """CUDA generation for a two-kernel program (codegen alone: analysis,
+    mappings and launch plans come from one session compile)."""
     from repro.apps.gaussian import build_gaussian
     from repro.codegen import compile_program
     from repro.runtime.session import GpuSession
 
     compiled = GpuSession().compile(build_gaussian("R"), N=2048, T=0)
     module = benchmark(
-        compile_program, compiled.analysis, compiled.mappings()
+        compile_program,
+        compiled.analysis,
+        compiled.mappings(),
+        [d.plan for d in compiled.decisions],
     )
     assert len(module.kernels) == 2
     assert module.source == compiled.module.source

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import AnalysisError
-from ..ir.patterns import PatternExpr, Program
+from ..ir.patterns import PatternExpr, Program, Reduce
 from ..observability import get_metrics, get_tracer
 from .access import AccessSummary, collect_accesses, inline_scalar_binds
 from .constraints import ConstraintSet, generate_constraints
 from .dop import DopWindow
-from .mapping import Mapping
+from .mapping import Mapping, Split
 from .nesting import Nest, build_nest, outermost_patterns
 from .search import SearchResult, search_mapping
 from .shapes import SizeEnv
@@ -76,6 +76,19 @@ class KernelAnalysis:
     def strategy_mapping(self, name: str) -> Mapping:
         """Instantiate a fixed baseline strategy for this kernel's nest."""
         return fixed_strategy(name, self.level_sizes())
+
+    def needs_combiner(self, mapping: Mapping) -> int:
+        """The combiner rule, read by the cost model, the host driver and
+        the differential oracle: the ``k`` of a ``Split(k)`` level holding
+        a ``Reduce`` (its partials need a combiner kernel, Section IV-E),
+        else 0.  Filter/GroupBy sync through atomics; a split Map level
+        just chunks the domain."""
+        for level_info, lm in zip(self.nest.levels, mapping.levels):
+            if isinstance(lm.span, Split) and any(
+                isinstance(p.pattern, Reduce) for p in level_info.patterns
+            ):
+                return lm.span.k
+        return 0
 
 
 @dataclass

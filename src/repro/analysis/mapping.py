@@ -225,9 +225,6 @@ class Mapping:
         """Indices of levels that are parallelized."""
         return [i for i, lm in enumerate(self.levels) if lm.parallel]
 
-    def dim_of_level(self, level: int) -> Optional[Dim]:
-        return self.levels[level].dim
-
     def level_of_dim(self, dim: Dim) -> Optional[int]:
         """The level assigned to a logical dimension, if any."""
         for i, lm in enumerate(self.levels):
@@ -335,10 +332,6 @@ class Mapping:
         if isinstance(span, Split):
             return max(1, -(-size // (lm.block_size * span.k)))
         raise MappingError(f"unknown span type {span}")  # pragma: no cover
-
-    def needs_combiner(self) -> bool:
-        """True when any level uses Split(k) (a combiner kernel follows)."""
-        return any(isinstance(lm.span, Split) for lm in self.levels)
 
     def with_level(self, index: int, new_level: LevelMapping) -> "Mapping":
         levels = list(self.levels)

@@ -2,10 +2,11 @@
 
 One kernel is generated per outermost pattern (the paper's one-to-one
 mapping), each from the mapping the session decided for it.  The module
-also carries the device-function preamble and, for ``Split(k)``
-mappings, combiner kernels.  Codegen neither analyzes nor maps: it reads
-the session's :class:`~repro.analysis.analyzer.ProgramAnalysis`, so the
-generated module always matches the launch decisions.
+also carries the device-function preamble and, for a split Reduce,
+combiner kernels.  Codegen neither analyzes, maps nor plans: it reads the
+session's :class:`~repro.analysis.analyzer.ProgramAnalysis`, mappings and
+launch plans, so the generated module always matches the launch
+decisions the cost model prices.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import List, Sequence
 from ..analysis.analyzer import ProgramAnalysis
 from ..analysis.mapping import Mapping
 from ..errors import CodegenError
+from ..gpusim.cost import LaunchPlan
 from ..ir.patterns import Program
 from .kernels import CompiledKernel, KernelGenerator, device_function_preamble
 
@@ -42,38 +44,38 @@ class CompiledModule:
 def compile_program(
     analysis: ProgramAnalysis,
     mappings: Sequence[Mapping],
-    prealloc: bool = True,
+    plans: Sequence[LaunchPlan],
 ) -> CompiledModule:
     """Generate CUDA for every kernel of an analyzed program.
 
-    ``mappings`` holds one mapping per kernel, in analysis order — the
-    session passes its decided (possibly degraded) mappings.
+    ``mappings`` and ``plans`` hold one entry per kernel, in analysis
+    order: the session passes its decided (possibly degraded) mappings
+    and the launch plans the cost model prices, so preallocation and
+    buffer layouts are emitted as priced.
     """
     from ..observability import get_tracer, instrumented_stage
 
     program = analysis.program
     tracer = get_tracer()
     with instrumented_stage("codegen", program=program.name) as scope:
-        if len(mappings) != len(analysis.kernels):
+        if not len(mappings) == len(plans) == len(analysis.kernels):
             raise CodegenError(
-                f"expected {len(analysis.kernels)} mappings, "
-                f"got {len(mappings)}"
+                f"expected {len(analysis.kernels)} mappings and plans, "
+                f"got {len(mappings)} and {len(plans)}"
             )
         module = CompiledModule(program=program)
-        preambles = []
-        for index, (ka, mapping) in enumerate(
-            zip(analysis.kernels, mappings)
+        for index, (ka, mapping, plan) in enumerate(
+            zip(analysis.kernels, mappings, plans)
         ):
             name = f"{_sanitize(program.name)}_kernel{index}"
             with tracer.span("codegen.kernel", kernel=name):
                 generator = KernelGenerator(
-                    ka, mapping, program, kernel_name=name, prealloc=prealloc
+                    ka, mapping, program, kernel_name=name, plan=plan
                 )
                 module.kernels.append(generator.generate())
-            preamble = device_function_preamble(ka.root)
-            if preamble and preamble not in preambles:
-                preambles.append(preamble)
-        module.preamble = "\n".join(preambles)
+        module.preamble = device_function_preamble(
+            [ka.root for ka in analysis.kernels]
+        )
         scope.span.set(kernels=len(module.kernels))
         return module
 

@@ -138,7 +138,7 @@ def lower_expr(expr: Expr, ctx: CodegenContext) -> str:
         base = _struct_base(expr, ctx)
         return ctx.name_of(base)
     if isinstance(expr, Length):
-        info = _array_name(expr.array)
+        info = array_name(expr.array)
         return ctx.name_of(f"{info}__len{expr.axis}")
     if isinstance(expr, RandomIndex):
         return f"(repro_rand() % {lower_expr(expr.size, ctx)})"
@@ -147,7 +147,7 @@ def lower_expr(expr: Expr, ctx: CodegenContext) -> str:
 
 def array_ref(array: Expr, indices: Sequence[Expr], ctx: CodegenContext) -> str:
     """Render ``array[indices...]`` as a linearized pointer access."""
-    key = _array_name(array)
+    key = array_name(array)
     info = ctx.array_info(key)
     if len(indices) > len(info.strides):
         raise CodegenError(
@@ -166,7 +166,7 @@ def array_ref(array: Expr, indices: Sequence[Expr], ctx: CodegenContext) -> str:
     return f"{info.c_name}[{offset}]"
 
 
-def _array_name(array: Expr) -> str:
+def array_name(array: Expr) -> str:
     if isinstance(array, (Var, Param)):
         return array.name
     if isinstance(array, FieldRead):

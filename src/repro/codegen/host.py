@@ -167,6 +167,10 @@ def _out_elems(kernel: CompiledKernel, env: SizeEnv) -> int:
     return total
 
 
+def _out_elem_type(kernel: CompiledKernel) -> str:
+    return next(d for d, name in kernel.params if name == "out").rstrip("*")
+
+
 def _emit_launch(
     w: SourceWriter,
     kernel: CompiledKernel,
@@ -176,10 +180,8 @@ def _emit_launch(
     sizes = runtime_level_sizes(kernel.analysis.nest, env)
     cfg = kernel.launch_config(sizes)
     out_elems = _out_elems(kernel, env)
-    out_decl = next(
-        (decl for decl, name in kernel.params if name == "out"), "double*"
-    )
-    elem = out_decl.rstrip("*").strip()
+    split_k = kernel.analysis.needs_combiner(kernel.mapping)
+    elem = _out_elem_type(kernel)
 
     w.line(f"// kernel {kernel.name}: mapping {kernel.mapping}")
     w.line(f"{elem}* d_out_{kernel.name} = nullptr;")
@@ -205,14 +207,12 @@ def _emit_launch(
             )
             args.append(f"d_{name}")
         elif name == "partials":
-            total_blocks = 1
-            for b in kernel.mapping.blocks_per_level(sizes):
-                total_blocks *= b
+            # one partial per output element and split region
             buf_elem = decl.replace("const ", "").rstrip("*").strip()
             w.line(f"{buf_elem}* d_partials_{kernel.name} = nullptr;")
             w.line(
                 f"CUDA_CHECK(cudaMalloc(&d_partials_{kernel.name}, "
-                f"{total_blocks * out_elems} * sizeof({buf_elem})));"
+                f"{split_k * out_elems} * sizeof({buf_elem})));"
             )
             args.append(f"d_partials_{kernel.name}")
         elif name == "out_count":
@@ -252,13 +252,7 @@ def _emit_launch(
     )
     w.line("CUDA_CHECK(cudaGetLastError());")
 
-    if kernel.combiner_source:
-        split_k = 1
-        for level, blocks in enumerate(kernel.mapping.blocks_per_level(sizes)):
-            from ..analysis.mapping import Split
-
-            if isinstance(kernel.mapping.level(level).span, Split):
-                split_k *= blocks
+    if split_k:
         w.line(
             f"{kernel.name}_combine<<<({out_elems} + 255) / 256, 256>>>("
             f"d_partials_{kernel.name}, d_out_{kernel.name}, "
@@ -274,11 +268,7 @@ def _emit_copy_back(
     w.line("CUDA_CHECK(cudaDeviceSynchronize());")
     for kernel in module.kernels:
         out_elems = _out_elems(kernel, env)
-        out_decl = next(
-            (decl for decl, name in kernel.params if name == "out"),
-            "double*",
-        )
-        elem = out_decl.rstrip("*").strip()
+        elem = _out_elem_type(kernel)
         w.line(
             f"{elem}* h_out_{kernel.name} = "
             f"({elem}*)malloc({out_elems} * sizeof({elem}));"

@@ -11,7 +11,7 @@ Template selection per level span type:
 Seq       ``for (i = 0; i < n; i++)`` inside each thread
 Span(n)   ``for (s = 0; s < n; s++) i = blockIdx*blockDim*n + s*blockDim + threadIdx``
 Span(all) ``for (i = threadIdx; i < n; i += blockDim)`` (single block per dim)
-Split(k)  Span(all) over a contiguous 1/k region + combiner kernel
+Split(k)  Span(all) over a contiguous 1/k region (+ combiner kernel on a Reduce)
 ========= =====================================================
 
 Reduce levels parallelized with Span(all)/Split emit the classic
@@ -26,8 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.analyzer import KernelAnalysis
 from ..analysis.mapping import Dim, LevelMapping, Mapping, Seq, Span, SpanAll, Split
+from ..analysis.shapes import eval_size
 from ..errors import CodegenError
-from ..ir.expr import Alloc, Bind, Block, Expr, ExprStmt, If, Stmt, Store
+from ..gpusim.cost import LaunchPlan
+from ..ir.expr import Alloc, Bind, Block, Expr, ExprStmt, If, RandomIndex, Stmt, Store
 from ..ir.functions import FnCall
 from ..ir.patterns import (
     Filter,
@@ -40,7 +42,7 @@ from ..ir.patterns import (
 )
 from ..ir.traversal import find_instances
 from ..ir.types import ArrayType, ScalarType
-from .exprs import ArrayInfo, CodegenContext, c_type, lower_expr
+from .exprs import ArrayInfo, CodegenContext, array_name, array_ref, c_type, lower_expr
 from .writer import SourceWriter
 
 _DIM_SUFFIX = {Dim.X: "x", Dim.Y: "y", Dim.Z: "z"}
@@ -52,12 +54,7 @@ _REDUCE_C_OPS: Dict[str, Callable[[str, str], str]] = {
     "max": lambda a, b: f"max({a}, {b})",
 }
 
-_REDUCE_IDENTITY = {
-    "+": "0",
-    "*": "1",
-    "min": "CUDART_INF",
-    "max": "-CUDART_INF",
-}
+_REDUCE_IDENTITY = {"+": "0", "*": "1"}
 
 
 @dataclass
@@ -66,12 +63,6 @@ class LaunchConfig:
 
     grid: Tuple[int, int, int]
     block: Tuple[int, int, int]
-
-    @property
-    def total_threads(self) -> int:
-        gx, gy, gz = self.grid
-        bx, by, bz = self.block
-        return gx * gy * gz * bx * by * bz
 
 
 @dataclass
@@ -84,8 +75,11 @@ class CompiledKernel:
     analysis: KernelAnalysis
     #: (C declaration, name) per kernel parameter, in signature order.
     params: List[Tuple[str, str]]
-    #: Source of the combiner kernel, when the mapping uses Split(k).
+    #: Source of the combiner kernel, when a split Reduce needs one.
     combiner_source: str = ""
+    #: Symbolic element strides per logical axis of each preallocated
+    #: buffer, keyed by the binding's array key.
+    buffer_strides: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     def launch_config(self, sizes: Sequence[int]) -> LaunchConfig:
         """Grid/block geometry for the given runtime level sizes."""
@@ -110,7 +104,7 @@ class CompiledKernel:
 
 
 class KernelGenerator:
-    """Generates one ``__global__`` kernel for a nest under a mapping."""
+    """Generates one ``__global__`` kernel for a nest under a mapping and plan."""
 
     def __init__(
         self,
@@ -118,19 +112,21 @@ class KernelGenerator:
         mapping: Mapping,
         program: Program,
         kernel_name: str = "kernel",
-        prealloc: bool = True,
+        plan: Optional[LaunchPlan] = None,
     ):
         self.analysis = analysis
         self.mapping = mapping
         self.program = program
         self.kernel_name = kernel_name
-        self.prealloc = prealloc
+        #: The launch plan the cost model prices; it decides preallocation
+        #: and each preallocated buffer's layout.
+        self.plan = plan if plan is not None else LaunchPlan(prealloc=True)
         self.ctx = CodegenContext()
         self.w = SourceWriter()
         self.params: List[Tuple[str, str]] = []
         self._smem_counter = 0
-        self._temp_params: List[Tuple[str, str]] = []
         self.combiner_source = ""
+        self.buffer_strides: Dict[str, Tuple[str, ...]] = {}
 
     # -- public ----------------------------------------------------------
 
@@ -138,13 +134,6 @@ class KernelGenerator:
         self._register_program_arrays()
         out_info = self._register_output()
         self._collect_params(out_info)
-
-        sig = ", ".join(f"{decl} {name}" for decl, name in self.params)
-        header = SourceWriter()
-        header.line("// Mapping decision:")
-        for level, lm in enumerate(self.mapping.levels):
-            header.line(f"//   Level {level}: {lm}")
-        header.open(f"__global__ void {self.kernel_name}({sig})")
 
         body = SourceWriter()
         body._depth = 1
@@ -157,6 +146,15 @@ class KernelGenerator:
             out_indices=[],
         )
 
+        # The body appends the parameters its templates need (buffers,
+        # partials, counters), so the signature is printed last.
+        sig = ", ".join(f"{decl} {name}" for decl, name in self.params)
+        header = SourceWriter()
+        header.line("// Mapping decision:")
+        for level, lm in enumerate(self.mapping.levels):
+            header.line(f"//   Level {level}: {lm}")
+        header.open(f"__global__ void {self.kernel_name}({sig})")
+
         source = header.text() + body.text() + "}\n"
         return CompiledKernel(
             name=self.kernel_name,
@@ -165,6 +163,7 @@ class KernelGenerator:
             analysis=self.analysis,
             params=self.params,
             combiner_source=self.combiner_source,
+            buffer_strides=self.buffer_strides,
         )
 
     # -- setup -----------------------------------------------------------
@@ -201,10 +200,19 @@ class KernelGenerator:
         return _row_major_strides(extents[:rank])
 
     def _collect_params(self, out_info: ArrayInfo) -> None:
+        written = {
+            array_name(store.array)
+            for store in find_instances(self.analysis.root, Store)
+        }
+
+        def pointer(elem, name: str) -> str:
+            const = "" if name in written else "const "
+            return f"{const}{c_type(elem)}*"
+
         for param in self.program.params:
             if isinstance(param.ty, ArrayType):
                 self.params.append(
-                    (f"const {c_type(param.ty.elem)}*", param.name)
+                    (pointer(param.ty.elem, param.name), param.name)
                 )
             elif isinstance(param.ty, ScalarType):
                 self.params.append((c_type(param.ty), param.name))
@@ -213,9 +221,7 @@ class KernelGenerator:
                 for fname, fty in param.ty.fields:
                     flat = f"{param.name}_{fname}"
                     if isinstance(fty, ArrayType):
-                        self.params.append(
-                            (f"const {c_type(fty.elem)}*", flat)
-                        )
+                        self.params.append((pointer(fty.elem, flat), flat))
                         self.ctx.arrays[flat] = ArrayInfo(flat, ("1",))
                     else:
                         self.params.append((c_type(fty), flat))
@@ -346,8 +352,6 @@ class KernelGenerator:
             self._emit_bind(stmt, level)
             return
         if isinstance(stmt, Store):
-            from .exprs import array_ref
-
             target = array_ref(stmt.array, stmt.indices, self.ctx)
             value = lower_expr(stmt.value, self.ctx)
             guards = self._inner_parallel_guards(level)
@@ -392,41 +396,9 @@ class KernelGenerator:
     def _emit_materialized(
         self, name: str, pattern: PatternExpr, level: int
     ) -> None:
-        """A let-bound inner pattern: write its output into a buffer.
-
-        With preallocation the buffer is a kernel parameter sized for the
-        whole outer domain, and this iteration's region is addressed by
-        offset/stride (Figure 11); without it, a device-side malloc is
-        emitted (the slow path Figure 16 measures).
-        """
+        """A let-bound inner pattern: write its output into a buffer."""
         elem = c_type(pattern.ty.elem)  # type: ignore[union-attr]
-        size_src = lower_expr(pattern.size, self.ctx)
-        buf = f"{name}_buf"
-        outer_names = self._enclosing_index_names(level)
-        if self.prealloc:
-            if not any(p_name == buf for _, p_name in self.params):
-                self.params.append((f"{elem}*", buf))
-            # Canonical layout: [outer..., inner] row-major.
-            extents = [
-                lower_expr(p.size, self.ctx)
-                for p in self._enclosing_patterns(level)
-            ] + [size_src]
-            strides = _row_major_strides(extents)
-            offset_terms = [
-                f"{idx} * {stride}"
-                for idx, stride in zip(outer_names, strides[: len(outer_names)])
-            ]
-            offset = " + ".join(offset_terms) if offset_terms else "0"
-            self.ctx.arrays[name] = ArrayInfo(
-                buf, strides[len(outer_names):], offset=offset
-            )
-        else:
-            self.w.line(
-                f"{elem}* {buf} = ({elem}*)malloc(sizeof({elem}) * {size_src});"
-            )
-            self.ctx.arrays[name] = ArrayInfo(buf, ("1",))
-
-        info = self.ctx.arrays[name]
+        info = self._bind_buffer(name, elem, [pattern.size], level)
 
         def temp_dest(value_src: str, indices: List[str]) -> None:
             inner_idx = indices[-1] if indices else "0"
@@ -437,32 +409,66 @@ class KernelGenerator:
 
         self._emit_pattern(pattern, level + 1, temp_dest, [])
 
-    def _emit_alloc(self, name: str, alloc: Alloc, level: int) -> None:
-        elem = c_type(alloc.elem)
-        size_src = " * ".join(lower_expr(s, self.ctx) for s in alloc.shape)
+    def _bind_buffer(
+        self, name: str, elem: str, extents: Sequence[Expr], level: int
+    ) -> ArrayInfo:
+        """Back an array-valued binding with a buffer, as the plan says.
+
+        With preallocation the buffer is a kernel parameter sized for the
+        whole outer domain, and this iteration's region is addressed by
+        offset and the plan's strides (Figure 11); without it, a
+        device-side malloc is emitted (the slow path Figure 16 measures).
+        """
         buf = f"{name}_buf"
-        if self.prealloc:
+        if self.plan.prealloc:
             if not any(p_name == buf for _, p_name in self.params):
                 self.params.append((f"{elem}*", buf))
-            outer_names = self._enclosing_index_names(level)
-            extents = [
-                lower_expr(p.size, self.ctx)
-                for p in self._enclosing_patterns(level)
-            ] + [lower_expr(s, self.ctx) for s in alloc.shape]
-            strides = _row_major_strides(extents)
-            offset_terms = [
-                f"{idx} * {stride}"
-                for idx, stride in zip(outer_names, strides[: len(outer_names)])
-            ]
-            offset = " + ".join(offset_terms) if offset_terms else "0"
-            self.ctx.arrays[name] = ArrayInfo(
-                buf, strides[len(outer_names):], offset=offset
+            outer = self._enclosing_patterns(level)
+            strides = self._buffer_strides(
+                name, [p.size for p in outer] + list(extents)
             )
+            self.buffer_strides[name] = strides
+            offset = " + ".join(
+                p.index.name if stride == "1" else f"{p.index.name} * {stride}"
+                for p, stride in zip(outer, strides)
+            )
+            info = ArrayInfo(buf, strides[len(outer):], offset=offset or "0")
         else:
+            size_src = " * ".join(lower_expr(e, self.ctx) for e in extents)
             self.w.line(
                 f"{elem}* {buf} = ({elem}*)malloc(sizeof({elem}) * {size_src});"
             )
-            self.ctx.arrays[name] = ArrayInfo(buf, ("1",))
+            info = ArrayInfo(buf, ("1",))
+        self.ctx.arrays[name] = info
+        return info
+
+    def _buffer_strides(
+        self, key: str, extents: Sequence[Expr]
+    ) -> Tuple[str, ...]:
+        """Symbolic strides of a preallocated buffer in the plan's layout.
+
+        The plan holds the strides the cost model priced, at the compile's
+        sizes.  Ordering the axes by them (a longer axis outside an equal
+        stride) and multiplying symbolic extents keeps the kernel valid at
+        launch-time sizes.  A key the plan does not list is row-major.
+        """
+        order = list(range(len(extents)))
+        planned = self.plan.strides_for(key)
+        if planned is not None:
+            if len(planned) != len(extents):
+                raise CodegenError(
+                    f"plan lays out {key!r} with {len(planned)} axes, "
+                    f"the kernel indexes {len(extents)}"
+                )
+            sizes = [int(eval_size(e, self.analysis.env)) for e in extents]
+            order.sort(key=lambda axis: (-planned[axis], -sizes[axis]))
+        physical = _row_major_strides(
+            [lower_expr(extents[axis], self.ctx) for axis in order]
+        )
+        return tuple(physical[order.index(axis)] for axis in range(len(order)))
+
+    def _emit_alloc(self, name: str, alloc: Alloc, level: int) -> None:
+        self._bind_buffer(name, c_type(alloc.elem), alloc.shape, level)
 
     # -- reduce ------------------------------------------------------------
 
@@ -791,9 +797,6 @@ class KernelGenerator:
             node = body if isinstance(body, PatternExpr) else None
         return spine[: level + 1]
 
-    def _enclosing_index_names(self, level: int) -> List[str]:
-        return [p.index.name for p in self._enclosing_patterns(level)]
-
     def _dim_linear_stride(self, dim: Dim) -> str:
         """Linear-thread-id stride of one logical dim within the block.
 
@@ -835,12 +838,26 @@ def _row_major_strides(extents: Sequence[str]) -> Tuple[str, ...]:
     return tuple(strides)
 
 
-def device_function_preamble(root: PatternExpr) -> str:
-    """CUDA source for every registered device function the nest calls."""
-    sources = []
-    seen = set()
-    for call in find_instances(root, FnCall):
-        if call.name not in seen and call.fn.cuda_source:
-            seen.add(call.name)
-            sources.append(call.fn.cuda_source)
+#: Random indices (``RandomIndex``) lower to ``repro_rand()``: a
+#: deterministic per-thread hash.  The interpreter is the reference for
+#: the values a random access reads.
+_REPRO_RAND_SOURCE = """\
+__device__ unsigned int repro_rand() {
+    unsigned int x = (threadIdx.x + 1024u * (threadIdx.y + 1024u * threadIdx.z))
+        ^ 2654435761u * (blockIdx.x + 65536u * (blockIdx.y + 65536u * blockIdx.z));
+    x = (x ^ (x >> 16)) * 0x45d9f3bu;
+    return x ^ (x >> 16);
+}
+"""
+
+
+def device_function_preamble(roots: Sequence[PatternExpr]) -> str:
+    """CUDA source, once each, for every device function the nests call."""
+    sources: List[str] = []
+    for root in roots:
+        for call in find_instances(root, FnCall):
+            if call.fn.cuda_source and call.fn.cuda_source not in sources:
+                sources.append(call.fn.cuda_source)
+        if find_instances(root, RandomIndex) and _REPRO_RAND_SOURCE not in sources:
+            sources.append(_REPRO_RAND_SOURCE)
     return "\n".join(sources)

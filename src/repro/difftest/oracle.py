@@ -226,30 +226,6 @@ def _pattern_kinds(program: Program) -> frozenset:
     return frozenset(kinds)
 
 
-def _mapping_uses_split(mapping: Mapping) -> bool:
-    return any(isinstance(lm.span, Split) for lm in mapping.levels)
-
-
-def _split_needs_combiner(mapping: Mapping, analysis: Any) -> bool:
-    """True when Split(k) lands on a level holding a Reduce pattern.
-
-    Only a split Reduce writes per-region partials that a combiner kernel
-    must finish.  Filter/GroupBy synchronize through global atomics (no
-    combiner), and a Split on a plain Map/Foreach level just chunks the
-    domain.
-    """
-    reduce_levels = {
-        pinfo.level
-        for level_info in analysis.nest.levels
-        for pinfo in level_info.patterns
-        if isinstance(pinfo.pattern, Reduce)
-    }
-    return any(
-        isinstance(lm.span, Split) and level in reduce_levels
-        for level, lm in enumerate(mapping.levels)
-    )
-
-
 # -- the oracle ------------------------------------------------------------
 
 
@@ -385,12 +361,12 @@ def _check_strategy(
         )
         return
 
-    # codegen sanity: a Split(k) on a reducing level must come with a
-    # combiner kernel (Split elsewhere just chunks the domain).
+    # codegen sanity: a mapping that needs a combiner (the analysis's
+    # rule) must come with a combiner kernel.
     for decision, kernel in zip(compiled.decisions, compiled.module.kernels):
-        if _mapping_uses_split(decision.mapping):
+        if any(isinstance(lm.span, Split) for lm in decision.mapping.levels):
             report.split_exercised = True
-        if _split_needs_combiner(decision.mapping, decision.analysis):
+        if decision.analysis.needs_combiner(decision.mapping):
             if not kernel.combiner_source:
                 report.fail(
                     stage,
@@ -435,6 +411,32 @@ def _check_strategy(
         report.fail(stage, f"cost model returned {cost.total_us} us")
 
 
+def split_forcing_mapping(kernel: Any) -> Tuple[Optional[Mapping], str]:
+    """The ``Split(k)``-forcing mapping for one analyzed kernel.
+
+    Splits the first level with a splittable sync constraint (the
+    combiner is mandatory there), otherwise any unconstrained level.
+    Returns ``(mapping, "")``, or ``(None, reason)`` when no level can be
+    split feasibly.
+    """
+    sizes = kernel.level_sizes()
+    splittable = kernel.constraints.span_all_levels()
+    level = next((lvl for lvl, ok in sorted(splittable.items()) if ok), None)
+    if level is None:
+        level = next(
+            (lvl for lvl in range(kernel.depth) if lvl not in splittable),
+            None,
+        )
+    if level is None:
+        return None, "no splittable level"
+    if sizes[level] < 2:
+        return None, "domain too small to split"
+    mapping = split_forcing(sizes, level, k=2, block_size=64)
+    if not hard_feasible(mapping, kernel.constraints, sizes):
+        return None, f"{mapping} infeasible at level {level}"
+    return mapping, ""
+
+
 def _check_split_forcing(
     program: Program,
     expected: Any,
@@ -456,37 +458,13 @@ def _check_split_forcing(
             "split-forcing: program has multiple kernels"
         )
         return
-    kernel = analysis.kernels[0]
-    sizes = kernel.level_sizes()
-    splittable = kernel.constraints.span_all_levels()
-    level = None
-    # Prefer a level with a splittable sync constraint (the combiner is
-    # mandatory there); otherwise any unconstrained level.
-    for lvl, ok in sorted(splittable.items()):
-        if ok:
-            level = lvl
-            break
-    if level is None:
-        for lvl in range(kernel.depth):
-            if lvl not in splittable:
-                level = lvl
-                break
-    if level is None:
-        report.skipped.append("split-forcing: no splittable level")
-        return
-    k = 2 if sizes[level] >= 2 else 1
-    if k < 2:
-        report.skipped.append("split-forcing: domain too small to split")
-        return
     try:
-        mapping = split_forcing(sizes, level, k=k, block_size=64)
+        mapping, reason = split_forcing_mapping(analysis.kernels[0])
     except ReproError as exc:
         report.fail("split-forcing", f"mapping construction raised: {exc}")
         return
-    if not hard_feasible(mapping, kernel.constraints, sizes):
-        report.skipped.append(
-            f"split-forcing: {mapping} infeasible at level {level}"
-        )
+    if mapping is None:
+        report.skipped.append(f"split-forcing: {reason}")
         return
     _check_strategy(
         program, mapping, OptimizationFlags.default(), "split-forcing",

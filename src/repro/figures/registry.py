@@ -630,9 +630,11 @@ def passorder_tuning(device: Optional[GpuDevice] = None) -> ExperimentResult:
 
     * ordering dependencies carry real cost: dropping ``layout`` from a
       column-weighted sum leaves the naive row-major strides (+6x);
-    * pulling ``control_dop`` into the pipeline beats the default on
-      tiny nests, where the launch DOP sits below the device window and
-      an in-pipeline Split(k) recovers occupancy;
+    * on a tiny nest whose launch DOP sits below the device window,
+      pulling ``control_dop`` into the pipeline is the worst ordering:
+      the launch mapping already splits the map level, which needs no
+      combiner, and the extra Split(k) lands on the reduce level and
+      pays for one;
     * on already-coalesced nests every ordering collapses onto one or
       two plan digests and the default is optimal.
     """

@@ -126,11 +126,14 @@ _DISCUSSION = {
         "dependency (prealloc without layout forfeits the Fig 16 column "
         "win, a 26x swing), shows the shared-memory stage costing a "
         "fraction of a percent more than it saves on the sparse nests "
-        "(qpscd, pagerank), and finds one regime where a non-default "
-        "pipeline clearly wins: on tiny nests whose "
-        "DOP sits below the device window, scheduling control_dop as a "
-        "compile-time pass (it is launch-time-only in production) "
-        "recovers occupancy via Split(k) and beats the default by ~6%."
+        "(qpscd, pagerank), and finds no nest where a non-default "
+        "pipeline wins by more than that.  On the tiny sumRows nest, "
+        "whose DOP sits below the device window, scheduling control_dop "
+        "as a compile-time pass (it is launch-time-only in production) "
+        "is the worst ordering: the launch mapping already splits the "
+        "map level, which needs no combiner, and the extra Split(k) "
+        "lands on the reduce level and pays for one (+5.25 us over "
+        "7.40)."
     ),
 }
 

@@ -26,7 +26,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..analysis.access import AccessSite
 from ..analysis.analyzer import KernelAnalysis
-from ..analysis.mapping import Mapping, Span, SpanAll, Split
+from ..analysis.mapping import Mapping, SpanAll, Split
 from ..analysis.nesting import Nest
 from ..analysis.shapes import SizeEnv, eval_size
 from ..errors import SimulationError
@@ -421,12 +421,9 @@ def _estimate_kernel_cost(
     # Warp-aggregated atomics: ~one hardware atomic per warp of elements.
     cost.atomic_us = atomic_count / device.warp_size * device.atomic_ns / 1e3
 
-    # -- combiner kernel for Split(k) -------------------------------------
-    if mapping.needs_combiner():
-        split_k = 1
-        for lm in mapping.levels:
-            if isinstance(lm.span, Split):
-                split_k *= lm.span.k
+    # -- combiner kernel for a split Reduce --------------------------------
+    split_k = analysis.needs_combiner(mapping)
+    if split_k:
         out_bytes = next(
             (
                 s.footprint_bytes(env)

@@ -479,7 +479,7 @@ class GpuSession:
             module = compile_program(
                 analysis,
                 [d.mapping for d in decisions],
-                prealloc=self.flags.prealloc,
+                [d.plan for d in decisions],
             )
         except ReproError as exc:
             fail(exc, "codegen")

@@ -170,10 +170,6 @@ class TestThreadIterations:
 
 
 class TestMisc:
-    def test_needs_combiner(self):
-        assert Mapping((lm(Dim.X, 32, Split(2)),)).needs_combiner()
-        assert not Mapping((lm(Dim.X, 32, SpanAll()),)).needs_combiner()
-
     def test_with_level(self):
         m = Mapping((lm(Dim.X, 32), lm(Dim.Y, 4)))
         m2 = m.with_level(1, LevelMapping(Dim.Y, 8, Span(1)))

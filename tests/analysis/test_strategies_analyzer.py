@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import MappingError
 from repro.analysis.analyzer import analyze_program
-from repro.analysis.mapping import Dim, Seq, Span, SpanAll
+from repro.analysis.mapping import (
+    Dim, LevelMapping, Mapping, Seq, Span, SpanAll, Split,
+)
 from repro.analysis.strategies import (
     FIXED_STRATEGIES,
     fixed_strategy,
@@ -107,3 +109,32 @@ class TestAnalyzerFacade:
         pa = analyze_program(sum_rows_program, R=100, C=7)
         m = pa.kernel(0).strategy_mapping("1d")
         assert not m.level(1).parallel
+
+
+class TestCombinerRule:
+    """``KernelAnalysis.needs_combiner``: the k of a split Reduce level."""
+
+    def rule(self, program, *levels):
+        ka = analyze_program(program, R=64, C=64).kernel(0)
+        return ka.needs_combiner(Mapping(levels))
+
+    def test_split_reduce_level(self, sum_rows_program):
+        assert self.rule(
+            sum_rows_program,
+            LevelMapping(Dim.Y, 1, Span(1)),
+            LevelMapping(Dim.X, 256, Split(4)),
+        ) == 4
+
+    def test_split_map_level_has_no_combiner(self, sum_rows_program):
+        assert self.rule(
+            sum_rows_program,
+            LevelMapping(Dim.Y, 8, Split(2)),
+            LevelMapping(Dim.X, 8, SpanAll()),
+        ) == 0
+
+    def test_two_splits_take_the_reduce_level_k(self, sum_rows_program):
+        assert self.rule(
+            sum_rows_program,
+            LevelMapping(Dim.Y, 8, Split(2)),
+            LevelMapping(Dim.X, 8, Split(2)),
+        ) == 2

@@ -1,6 +1,6 @@
 // Mapping decision:
 //   Level 0: [dimx, 1024, split(4)]
-__global__ void filter_snapshot(long long R, long long C, const double* m, const double* v, const double* u, double* out) {
+__global__ void filter_snapshot(long long R, long long C, const double* m, const double* v, const double* u, double* out, int* out_count) {
     long long region_i0 = (R + 4 - 1) / 4;
     long long start_i0 = blockIdx.x * region_i0;
     long long end_i0 = min((long long)R, start_i0 + region_i0);

@@ -1,7 +1,7 @@
 // Mapping decision:
 //   Level 0: [dimy, 1, span(1)]
 //   Level 1: [dimx, 256, split(4)]
-__global__ void sumRows_split(long long R, long long C, const double* m, double* out) {
+__global__ void sumRows_split(long long R, long long C, const double* m, double* out, double* partials) {
     long long i0 = blockIdx.y * blockDim.y + threadIdx.y;
     if (i0 < R) {
         double acc_k0 = 0;

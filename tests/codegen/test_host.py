@@ -60,6 +60,31 @@ class TestHostDriver:
         assert "d_partials_" in src
         assert "_combine<<<" in src
 
+    def test_combiner_launched_with_the_reduce_level_k(self):
+        """Two splits: the combiner folds the reduce level's k partials."""
+        from repro.analysis.mapping import (
+            Dim, LevelMapping, Mapping, Split,
+        )
+        from repro.ir.symbols import reset_names
+        from tests.conftest import make_sum_rows
+
+        reset_names()
+        mapping = Mapping(
+            (
+                LevelMapping(Dim.Y, 8, Split(2)),
+                LevelMapping(Dim.X, 8, Split(2)),
+            )
+        )
+        module = GpuSession(strategy=mapping).compile(
+            make_sum_rows(), R=64, C=64
+        ).module
+        assert "partials[(i0) * 2 + blockIdx.x]" in module.source
+        src = generate_host_driver(module, {"R": 64, "C": 64})
+        assert (
+            "sumRows_kernel0_combine<<<(64 + 255) / 256, 256>>>("
+            "d_partials_sumRows_kernel0, d_out_sumRows_kernel0, 64, 2);"
+        ) in src
+
     def test_struct_fields_flattened(self):
         from repro.apps.pagerank import build_pagerank
 

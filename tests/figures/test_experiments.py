@@ -248,14 +248,31 @@ class TestPassOrder:
             for row in rows
         )
 
-    def test_control_dop_wins_on_tiny_nest(self, results):
+    def test_control_dop_costs_more_on_tiny_nest(self, results):
+        """The launch mapping splits the tiny nest's map level, which needs
+        no combiner; an in-pipeline control_dop also splits the reduce
+        level and pays for one, so it is the worst ordering."""
+        from repro.apps import ALL_APPS
+        from repro.optim.passes.tune import autotune_pass_order
+        from repro.runtime.session import GpuSession
+
         by_case = {
             (row["app"], row["sizes"]): row
             for row in results["passorder"].rows
         }
         tiny = by_case[("sumRows", "R=8 C=8")]
-        assert "control_dop" in tiny["best_order"]
-        assert tiny["improvement_pct"] > 0
+        assert tiny["improvement_pct"] == 0
+        assert tiny["worst_delta_us"] > 0
+        compiled = GpuSession().compile(ALL_APPS["sumRows"].build(), R=8, C=8)
+        decision = compiled.decisions[0]
+        tuned = autotune_pass_order(
+            decision.analysis, decision.mapping, compiled.device
+        )
+        worst = max(tuned.frontier, key=lambda entry: entry.time_us)
+        assert "control_dop" in worst.passes
+        assert round(
+            worst.time_us - tuned.default.time_us, 3
+        ) == tiny["worst_delta_us"]
 
     def test_ordering_dependency_is_expensive(self, results):
         """prealloc without layout forfeits the Fig 16 column win."""

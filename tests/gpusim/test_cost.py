@@ -153,6 +153,38 @@ class TestCombiner:
         )
         assert cost_of(ka, env, m).combiner_us == 0
 
+    def test_split_map_level_no_combiner(self, sum_rows_program):
+        """A Split on a Map level chunks the domain; no partials, so no
+        combiner kernel is emitted and none is priced."""
+        from repro.analysis.mapping import Split
+
+        ka, env = kernel(sum_rows_program, R=8, C=8)
+        m = Mapping(
+            (
+                LevelMapping(Dim.Y, 8, Split(2)),
+                LevelMapping(Dim.X, 8, SpanAll()),
+            )
+        )
+        assert cost_of(ka, env, m).combiner_us == 0
+
+    def test_combiner_priced_with_the_reduce_level_k(self, sum_rows_program):
+        from repro.analysis.mapping import Split
+
+        ka, env = kernel(sum_rows_program, R=64, C=64)
+        reduce_split = cost_of(ka, env, Mapping(
+            (
+                LevelMapping(Dim.Y, 8, Span(1)),
+                LevelMapping(Dim.X, 8, Split(2)),
+            )
+        ))
+        both_split = cost_of(ka, env, Mapping(
+            (
+                LevelMapping(Dim.Y, 8, Split(2)),
+                LevelMapping(Dim.X, 8, Split(2)),
+            )
+        ))
+        assert both_split.combiner_us == reduce_split.combiner_us > 0
+
 
 class TestSharedMemoryPrefetch:
     def test_prefetch_reduces_outer_traffic(self):
