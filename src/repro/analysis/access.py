@@ -77,10 +77,6 @@ class LinearForm:
         return 0.0
 
     @property
-    def coeff_dict(self) -> Dict[str, float]:
-        return dict(self.coeffs)
-
-    @property
     def is_pure_constant(self) -> bool:
         return not self.coeffs and not self.opaque_deps and not self.has_random
 

@@ -12,8 +12,7 @@ Shape sweeps and repeated kernels re-run Algorithm 1 with identical
 inputs, so the search memo is keyed by a canonical fingerprint of
 everything the result depends on: the constraint set (every field of
 every constraint), the nest depth, the analysis sizes, the block-size
-grid, the DOP window, the tie-break seed, and whether all candidates are
-retained.  Two searches with equal keys return byte-identical results,
+grid, the DOP window, and whether all candidates are retained.  Two searches with equal keys return byte-identical results,
 so serving the memo is safe.  The auto-tune memo's key additionally
 covers the kernel IR, the size environment, and the device (the cost
 model reads all three).  Both live only as long as the process.
@@ -76,7 +75,6 @@ def search_cache_key(
     block_sizes: Tuple[int, ...],
     window,
     keep_all: bool,
-    seed: int,
 ) -> Tuple:
     """Key for one ``search_mapping`` invocation."""
     return (
@@ -87,7 +85,6 @@ def search_cache_key(
         tuple(block_sizes),
         (window.min_dop, window.max_dop),
         keep_all,
-        seed,
     )
 
 

@@ -56,10 +56,6 @@ class LevelInfo:
         return max((int(p.size) for p in self.patterns), default=1)
 
     @property
-    def exact_size(self) -> bool:
-        return all(p.size.exact for p in self.patterns)
-
-    @property
     def needs_span_all(self) -> bool:
         """The level-wide hard requirement (most conservative span wins).
 
@@ -90,9 +86,6 @@ class Nest:
             return self.info_by_pattern[pattern]
         except KeyError:
             raise AnalysisError(f"pattern {pattern!r} is not part of this nest")
-
-    def level_of(self, pattern: PatternExpr) -> int:
-        return self.info(pattern).level
 
     def has_outer_body_work(self, level: int) -> bool:
         """True when the nest is *imperfect* at ``level``.

@@ -34,11 +34,6 @@ class ScoredMapping:
     score: float
     dop: int
 
-    def normalized_score(self, cset: ConstraintSet) -> float:
-        """Score scaled to [0, 1] by the constraint set's maximum."""
-        maximum = cset.max_score()
-        return self.score / maximum if maximum > 0 else 0.0
-
 
 def _as_tuple(sizes: Sequence[int]) -> Tuple[int, ...]:
     # Callers should pass tuples (hoisted out of candidate loops); this

@@ -8,17 +8,18 @@ Candidates are the cross product, per nest level, of
   introduced afterwards by :func:`~repro.analysis.dop.control_dop`).
 
 Hard constraints prune candidates; the rest are scored by the satisfied
-soft-constraint weights.  Ties break toward higher DOP, then toward
-lexicographically larger block sizes (outermost level first), then by a
-seeded reservoir sample over the tied candidates (the paper picks
-randomly; seeding keeps runs reproducible, and reservoir sampling keeps
-the pick uniform however many candidates tie).
+soft-constraint weights.  Every feasible candidate then sits in one
+deterministic total order, :func:`ranking_key`: higher score, then
+higher DOP, then larger block sizes, then larger dimensions, then
+larger span kinds (``Span(all)`` above ``Span(1)``), the last three
+compared level by level from the outermost.  The pick is rank 1 of that
+order (the paper breaks its final ties at random; a total order makes
+every run, engine and provenance record agree on the same candidate).
 
-Every result also carries ``ranked``: the top :data:`RANKED_CANDIDATES`
-feasible candidates before ControlDOP, ordered by
-:func:`ranking_key` (score, DOP, larger block sizes) and then by
-enumeration order.  Provenance records read it instead of searching
-again.
+Every result carries ``ranked``: the top :data:`RANKED_CANDIDATES`
+feasible candidates before ControlDOP, in that order, so ``ranked[0]``
+is the mapping ControlDOP adjusts.  Provenance records read it instead
+of searching again.
 
 Two engines share that contract:
 
@@ -29,8 +30,8 @@ Two engines share that contract:
   cannot evaluate.
 * the vectorized batch engine (:mod:`repro.analysis.vectorized`) — the
   whole candidate space as integer-coded NumPy matrices, every
-  constraint one vectorized predicate, the tie-break replayed from a
-  packed prefix maximum.
+  constraint one vectorized predicate, the order read off packed
+  integer keys.
 
 :func:`search_mapping` is the staged, memoized pipeline over both: memo
 lookup, then the engine the constraint set admits.  When every
@@ -40,8 +41,11 @@ the label ``reference-fallback``.  Both engines return byte-identical
 results.
 
 Equivalence rests on the vectorized engine accounting for candidates in
-the reference's enumeration order: every tie reaches the reservoir
-sampler at the same position and consumes the same random draws.
+the reference's enumeration order.  Dimension permutations are
+enumerated outermost and span kinds innermost, both in increasing
+order, so among candidates tying on score, DOP and block sizes the
+later one is the larger by :func:`ranking_key`; the batch engine orders
+such ties by position.
 """
 
 from __future__ import annotations
@@ -49,12 +53,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import BLOCK_SIZE_CANDIDATES, MAX_BLOCK_SIZE, TIE_BREAK_SEED
+from ..config import BLOCK_SIZE_CANDIDATES, MAX_BLOCK_SIZE
 from ..errors import ReproError, SearchError
 from ..observability import get_metrics, instrumented_stage
 from ..resilience.budget import Budget
@@ -71,6 +74,7 @@ from .mapping import (
     SpanAll,
     SpanType,
     seq_level,
+    span_code,
 )
 from .scoring import ScoredMapping, hard_feasible, score_mapping
 
@@ -84,14 +88,23 @@ class _BudgetStop(Exception):
 
 
 def ranking_key(scored: ScoredMapping) -> tuple:
-    """Sort key of :attr:`SearchResult.ranked`: higher score, then higher
-    DOP, then lexicographically larger block sizes (the deterministic
-    part of the tie-break chain).  Sorts stably, so candidates tying on
-    all three stay in enumeration order."""
+    """The search's total order on feasible candidates; rank 1 (the
+    smallest key) is the pick.
+
+    Higher score, then higher DOP, then larger block sizes, then larger
+    dimensions, then larger span kinds (``Span(all)`` above
+    ``Span(1)``); each of the last three compares level by level from
+    the outermost.  At equal score and parallelism, threads are better
+    spent on the outer levels than on oversizing a ``Span(all)`` level
+    whose domain they exceed.  No two candidates share a key.
+    """
+    levels = scored.mapping.levels
     return (
         -scored.score,
         -scored.dop,
-        tuple(-lm.block_size for lm in scored.mapping.levels),
+        tuple(-lm.block_size for lm in levels),
+        tuple(-lm.dim for lm in levels),
+        tuple(-span_code(lm.span) for lm in levels),
     )
 
 
@@ -112,8 +125,8 @@ class SearchResult:
     #: ``keep_all=True``; used by the Fig. 17 scatter experiment).
     all_scored: List[ScoredMapping] = field(default_factory=list)
     #: The top :data:`RANKED_CANDIDATES` feasible candidates before
-    #: ControlDOP, in :func:`ranking_key` order then enumeration order
-    #: (empty for a degraded result).
+    #: ControlDOP, in :func:`ranking_key` order; ``ranked[0]`` is the
+    #: pick (empty for a degraded result).
     ranked: List[ScoredMapping] = field(default_factory=list)
     # -- search telemetry ------------------------------------------------
     #: Candidates whose score was individually evaluated.
@@ -221,49 +234,6 @@ def enumerate_candidates(
                 )
 
 
-class _Incumbent:
-    """Best-so-far state with the reservoir tie-break.
-
-    The exhaustive loop routes every feasible candidate through
-    :meth:`decide` in enumeration order; the vectorized engine replays
-    the same sequence of random draws from its packed keys, so the
-    winner is identical between them.
-
-    The deterministic tie-break chain is score, then DOP, then
-    lexicographically larger per-level block sizes (outermost level
-    first): at equal score and parallelism, threads are better spent on
-    the outer Span(1) levels than on oversizing a Span(all) level whose
-    domain they exceed.  The k-th candidate tying all three replaces the
-    incumbent with probability 1/k, which samples uniformly from the tie
-    pool (the old ``rng.random() < 0.5`` over-weighted later candidates
-    for three-way-or-larger ties).
-    """
-
-    __slots__ = ("rng", "mapping", "score", "dop", "sizes", "ties")
-
-    def __init__(self, rng: random.Random) -> None:
-        self.rng = rng
-        self.mapping: Optional[Mapping] = None
-        self.score = -1.0
-        self.dop = -1
-        self.sizes: Tuple[int, ...] = ()
-        self.ties = 0
-
-    def decide(self, score: float, dop: int, bsizes: Tuple[int, ...]) -> bool:
-        """Should this candidate replace the incumbent?  (Stateful.)"""
-        if score > self.score:
-            self.score, self.dop, self.sizes, self.ties = score, dop, bsizes, 1
-            return True
-        if score == self.score and dop >= self.dop:
-            if dop > self.dop or bsizes > self.sizes:
-                self.dop, self.sizes, self.ties = dop, bsizes, 1
-                return True
-            if bsizes == self.sizes:
-                self.ties += 1
-                return self.rng.random() < 1.0 / self.ties
-        return False
-
-
 def _validate(num_levels: int, sizes: Sequence[int]) -> Tuple[int, ...]:
     sizes_t = tuple(sizes)
     if len(sizes_t) != num_levels:
@@ -274,25 +244,26 @@ def _validate(num_levels: int, sizes: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _finish(
-    winner: Optional[Mapping],
-    score: float,
+    ranked: List[ScoredMapping],
     cset: ConstraintSet,
     sizes_t: Tuple[int, ...],
     window: DopWindow,
     total: int,
     feasible: int,
     all_scored: List[ScoredMapping],
-    ranked: List[ScoredMapping],
     strategy: str,
 ) -> SearchResult:
-    """Apply ControlDOP to the winner and assemble the result (both
-    engines score every candidate they enumerate)."""
-    if winner is None:
+    """Apply ControlDOP to rank 1 and assemble the result (both engines
+    score every candidate they enumerate)."""
+    if not ranked:
         raise SearchError("no feasible mapping satisfies the hard constraints")
-    adjusted = control_dop(winner, sizes_t, window, cset.span_all_levels())
+    pick = ranked[0]
+    adjusted = control_dop(
+        pick.mapping, sizes_t, window, cset.span_all_levels()
+    )
     return SearchResult(
         mapping=adjusted,
-        score=score,
+        score=pick.score,
         dop=adjusted.dop(sizes_t),
         candidates_total=total,
         candidates_feasible=feasible,
@@ -310,13 +281,11 @@ def _search_exhaustive(
     window: DopWindow,
     block_sizes: Tuple[int, ...],
     keep_all: bool,
-    seed: int,
     strategy: str,
     budget: Optional[Budget] = None,
 ) -> SearchResult:
     """The brute-force loop (shared by the reference entry point and the
     fallback for constraints without a batch predicate)."""
-    inc = _Incumbent(random.Random(seed))
     total = feasible = 0
 
     def scored() -> Iterator[ScoredMapping]:
@@ -329,22 +298,15 @@ def _search_exhaustive(
             if score is None:
                 continue
             feasible += 1
-            dop = mapping.dop(sizes_t)
-            if inc.decide(
-                score, dop, tuple(lm.block_size for lm in mapping.levels)
-            ):
-                inc.mapping = mapping
-            yield ScoredMapping(mapping, score, dop)
+            yield ScoredMapping(mapping, score, mapping.dop(sizes_t))
 
     candidates: Iterable[ScoredMapping] = scored()
     all_scored: List[ScoredMapping] = []
     if keep_all:
         all_scored = candidates = list(candidates)
-    # Bounded and stable: ties on the key keep enumeration order.
     ranked = heapq.nsmallest(RANKED_CANDIDATES, candidates, key=ranking_key)
     return _finish(
-        inc.mapping, inc.score, cset, sizes_t, window, total, feasible,
-        all_scored, ranked, strategy,
+        ranked, cset, sizes_t, window, total, feasible, all_scored, strategy,
     )
 
 
@@ -463,7 +425,6 @@ def search_mapping_reference(
     window: Optional[DopWindow] = None,
     block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
     keep_all: bool = False,
-    seed: int = TIE_BREAK_SEED,
     budget: Optional[Budget] = None,
 ) -> SearchResult:
     """Run Algorithm 1 by exhaustive enumeration (the equivalence oracle)."""
@@ -480,7 +441,7 @@ def search_mapping_reference(
         try:
             result = _search_exhaustive(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
-                seed, strategy="reference", budget=budget,
+                strategy="reference", budget=budget,
             )
         except _BudgetStop:
             result = _fallback_result(
@@ -500,7 +461,6 @@ def search_mapping(
     window: Optional[DopWindow] = None,
     block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
     keep_all: bool = False,
-    seed: int = TIE_BREAK_SEED,
     use_cache: bool = True,
     budget: Optional[Budget] = None,
 ) -> SearchResult:
@@ -520,7 +480,6 @@ def search_mapping(
         window: device DOP window for ControlDOP (defaults to K20c's).
         keep_all: retain every feasible candidate with its score
             (needed by the score-vs-performance experiment).
-        seed: tie-break seed (the paper breaks final ties randomly).
         use_cache: serve/record the cross-sweep memo.
         budget: optional node/deadline budget; on exhaustion the search
             returns the conservative fallback mapping (``degraded=True``)
@@ -548,7 +507,6 @@ def search_mapping(
         if memo is not None:
             key = search_cache_key(
                 cset, num_levels, sizes_t, block_sizes, window, keep_all,
-                seed,
             )
             try:
                 hit = memo.get(key)
@@ -570,8 +528,7 @@ def search_mapping(
                 count_memo("search", "invalidations", memo.pop(key))
 
         result = _search_fresh(
-            num_levels, cset, sizes_t, window, block_sizes, keep_all, seed,
-            budget,
+            num_levels, cset, sizes_t, window, block_sizes, keep_all, budget,
         )
         # The one and only elapsed_ms assignment for a fresh result:
         # vectorized, reference-fallback, and budget-degraded paths all
@@ -594,7 +551,6 @@ def _search_fresh(
     window: DopWindow,
     block_sizes: Tuple[int, ...],
     keep_all: bool,
-    seed: int,
     budget: Optional[Budget],
 ) -> SearchResult:
     """The uncached search body.  Leaves ``elapsed_ms`` unset — the
@@ -611,14 +567,14 @@ def _search_fresh(
         try:
             return _search_vectorized(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
-                seed, budget=budget,
+                budget=budget,
             )
         except BatchUnsupported:
             # A constraint without a batch predicate, or one declining at
             # runtime: evaluate every candidate one at a time instead.
             return _search_exhaustive(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
-                seed, strategy="reference-fallback", budget=budget,
+                strategy="reference-fallback", budget=budget,
             )
     except _BudgetStop:
         return _fallback_result(

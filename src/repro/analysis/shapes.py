@@ -26,7 +26,7 @@ from ..ir.expr import (
     UnOp,
     Var,
 )
-from ..ir.patterns import PatternExpr, Program
+from ..ir.patterns import Program
 from ..ir.traversal import walk
 
 
@@ -174,8 +174,3 @@ def size_depends_on_indices(size: Expr, index_names: frozenset) -> bool:
                 if isinstance(sub, Var) and sub.name in index_names:
                     return True
     return False
-
-
-def pattern_size(pattern: PatternExpr, env: SizeEnv) -> SizeValue:
-    """Evaluate a pattern's domain size under the environment."""
-    return eval_size(pattern.size, env)

@@ -12,7 +12,7 @@ The space is a cross product of three small factor axes — dimension
 permutations, block-size grid rows, span combinations — and the batch
 keeps that factorization: candidates are (permutation, grid row) base
 pairs tiled by the span combinations, and everything that depends on
-only one factor (threads per block, tie-break codes, DOP factors, warp
+only one factor (threads per block, block-size codes, DOP factors, warp
 variance, span-free or span-only predicates) is computed on the factor
 table and broadcast.  The per-candidate axis only ever sees a fixed
 number of cheap elementwise passes; nothing is sorted along it.
@@ -29,8 +29,8 @@ Byte-identical contract
 
 The engine must reproduce :func:`~repro.analysis.search.search_mapping_reference`
 bit for bit — mapping, score, DOP, candidate counts, ``all_scored``
-ordering, the ``ranked`` top candidates, and the seeded tie-break.
-Four mechanisms carry that:
+ordering and the ``ranked`` top candidates, whose first entry is the
+pick.  Four mechanisms carry that:
 
 * **Enumeration order.**  Rows are materialized in the reference's exact
   enumeration order (dimension permutations outermost, then the
@@ -42,18 +42,14 @@ Four mechanisms carry that:
   the constraint columns) and each distinct pattern is summed once with
   :func:`math.fsum` — the exact, order-independent sum the reference
   uses, so equal weight sets give equal floats.
-* **Tie-break replay.**  The reference threads every feasible candidate
-  through a stateful reservoir sampler whose random draws depend on the
-  running incumbent.  The engine packs each candidate's
-  ``(score, dop, block sizes)`` tie-break key into one ``int64``
-  (rank-coded score, raw DOP, rank-coded sizes), takes a prefix maximum,
-  and reads the draw positions off it: the reference draws exactly when
-  a candidate's key equals the running maximum.  Draws before the final
-  maximum's first appearance are skipped in bulk; only the final tie
-  pool — typically a handful of candidates — replays its draws one by
-  one.  The same keys give ``ranked``: a partition finds the fifth
-  largest key, and a stable sort of the few survivors orders them as
-  the reference's stable top 5 does.
+* **Packed keys give ``ranked``.**  The engine packs each candidate's
+  ``(score, dop, block sizes)`` into one ``int64`` (rank-coded score,
+  raw DOP, rank-coded sizes), order-isomorphic to the first three
+  components of :func:`~repro.analysis.search.ranking_key`.  Candidates
+  equal on all three differ only in dimensions and span kinds, and for
+  them the later enumeration position is the larger, so equal keys are
+  ordered later position first.  A partition finds the fifth largest
+  key and a sort of the few survivors orders them; rank 1 is the pick.
 * **Exact DOP past int64.**  DOP products are compared as int64 while
   the worst-case product fits.  Beyond that the DOP table is built in
   Python ints and rank-coded into the packed key (ranks order the
@@ -71,18 +67,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import (
-    BLOCK_SIZE_CANDIDATES,
-    MAX_BLOCK_SIZE,
-    TIE_BREAK_SEED,
-    WARP_SIZE,
-)
+from ..config import BLOCK_SIZE_CANDIDATES, MAX_BLOCK_SIZE, WARP_SIZE
 from ..errors import SearchError
 from ..observability import instrumented_stage
 from ..resilience.budget import Budget
@@ -115,7 +105,7 @@ class BatchUnsupported(Exception):
     """The candidate space cannot be evaluated as a batch.
 
     Raised when a constraint lacks a batch predicate (or returns ``None``
-    at runtime), or when the packed tie-break key cannot fit int64 even
+    at runtime), or when the packed ranking key cannot fit int64 even
     with rank-coded DOPs.  :func:`~repro.analysis.search.search_mapping`
     catches this and runs the exhaustive loop instead.
     """
@@ -314,8 +304,8 @@ def _grid_codes(
     """Rank-packed block-size tuples, one code per grid row.
 
     Order-isomorphic to tuple comparison of the block sizes (outermost
-    level most significant), which is exactly the incumbent's
-    lexicographic size tie-break.
+    level most significant), the block-size part of
+    :func:`~repro.analysis.search.ranking_key`.
     """
     sorted_sizes = np.asarray(sorted(block_sizes), dtype=np.int64)
     ranks = np.searchsorted(sorted_sizes, grid_table)
@@ -564,7 +554,7 @@ def _dop_table(
     is anything with ``grid_table``/``span_table`` (a structure or a
     batch).
 
-    ``keys`` is what the packed tie-break key reads and ``bound`` an
+    ``keys`` is what the packed ranking key reads and ``bound`` an
     upper bound on it.  While the product of the sizes fits int64,
     ``keys`` holds the raw DOPs and ``exact`` is ``keys``.  Past that the
     table is built in Python ints: ``exact`` holds them (an object
@@ -621,7 +611,7 @@ def _dop_table_cached(
 
 
 def _key_bits(n_scores: int, dop_bound: int, code_bound: int):
-    """Bit widths for the packed tie-break key, or None on overflow."""
+    """Bit widths for the packed ranking key, or None on overflow."""
     dop_bits = max(1, int(dop_bound).bit_length())
     code_bits = max(1, int(code_bound).bit_length())
     score_bits = max(1, int(n_scores).bit_length())
@@ -651,7 +641,7 @@ def _packed_keys(
         bits = _key_bits(n_scores, uniq.shape[0], code_bound)
         if bits is None:
             raise BatchUnsupported(
-                "tie-break key exceeds exact int64 range"
+                "ranking key exceeds exact int64 range"
             )
     dop_bits, code_bits = bits
     return (
@@ -659,55 +649,23 @@ def _packed_keys(
     ) | code
 
 
-def _replay_reservoir(keys: np.ndarray, seed: int) -> int:
-    """The index the reference's reservoir sampler would have chosen.
-
-    Reconstructs the reference's stream of ``rng.random()`` draws: one
-    draw per candidate whose key equals the running maximum (a tie with
-    the incumbent), none for strict improvements.  Draws before the
-    final maximum's first appearance only advance the stream; the final
-    tie pool replays its draws with the 1/k acceptance the reservoir
-    uses.
-    """
-    running = np.maximum.accumulate(keys)
-    prefix = np.empty_like(running)
-    prefix[0] = -1
-    prefix[1:] = running[:-1]
-    ties = keys == prefix
-
-    first_best = int(np.argmax(keys))
-    rng = random.Random(seed)
-    pre_draws = int(np.count_nonzero(ties[:first_best]))
-    for _ in range(pre_draws):
-        rng.random()
-
-    winner = first_best
-    pool = np.nonzero(ties[first_best + 1 :])[0] + first_best + 1
-    count = 1
-    for index in pool:
-        count += 1
-        if rng.random() < 1.0 / count:
-            winner = int(index)
-    return winner
-
-
 def _top_positions(keys: np.ndarray, count: int) -> np.ndarray:
     """Positions of the ``count`` largest keys, largest first.
 
-    Equal keys keep enumeration (position) order, so the result is
-    :attr:`SearchResult.ranked`'s order: a partition finds the
-    ``count``-th largest key, the survivors are every larger key plus
-    the first equal ones, and only they are sorted (stably).
+    Equal keys put the later position first, so the result is
+    :attr:`SearchResult.ranked`'s order and its first entry the pick: a
+    partition finds the ``count``-th largest key, the survivors are
+    every larger key plus the last equal ones, and only they are sorted.
     """
     n = keys.shape[0]
     if n > count:
         threshold = np.partition(keys, n - count)[n - count]
         above = np.nonzero(keys > threshold)[0]
-        tied = np.nonzero(keys == threshold)[0][: count - above.shape[0]]
+        tied = np.nonzero(keys == threshold)[0][above.shape[0] - count:]
         survivors = np.concatenate([above, tied])
     else:
         survivors = np.arange(n)
-    return survivors[np.argsort(-keys[survivors], kind="stable")]
+    return survivors[np.lexsort((-survivors, -keys[survivors]))]
 
 
 def _hard_feasible_rows(
@@ -813,7 +771,6 @@ def search_mapping_vectorized(
     window: Optional[DopWindow] = None,
     block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
     keep_all: bool = False,
-    seed: int = TIE_BREAK_SEED,
     budget: Optional[Budget] = None,
 ):
     """Run Algorithm 1 with the batch engine (public, self-timing entry).
@@ -844,7 +801,7 @@ def search_mapping_vectorized(
         try:
             result = _search_vectorized(
                 num_levels, cset, sizes_t, window, block_sizes, keep_all,
-                seed, budget=budget,
+                budget=budget,
             )
         except _BudgetStop:
             result = _fallback_result(
@@ -864,7 +821,6 @@ def _search_vectorized(
     window: DopWindow,
     block_sizes: Tuple[int, ...],
     keep_all: bool,
-    seed: int,
     budget: Optional[Budget] = None,
 ):
     """The batch engine body (no timing; the caller stamps elapsed_ms)."""
@@ -1003,10 +959,8 @@ def _search_vectorized(
     ranked = [
         scored_at(int(pos)) for pos in _top_positions(keys, RANKED_CANDIDATES)
     ]
-    winner = scored_at(_replay_reservoir(keys, seed))
     result = _finish(
-        winner.mapping, winner.score, cset, sizes_t, window, total, n_feas,
-        all_scored, ranked, "vectorized",
+        ranked, cset, sizes_t, window, total, n_feas, all_scored, "vectorized",
     )
     result.batch_shape = (total, num_levels)
     return result

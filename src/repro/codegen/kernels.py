@@ -142,7 +142,7 @@ class KernelGenerator:
         self._emit_pattern(
             root,
             level=0,
-            dest=self._out_dest(out_info, []),
+            dest=self._write_out,
             out_indices=[],
         )
 
@@ -252,19 +252,19 @@ class KernelGenerator:
 
     # -- destinations ------------------------------------------------------
 
-    def _out_dest(
-        self, out_info: ArrayInfo, index_names: List[str]
-    ) -> Callable[[str, List[str]], None]:
-        def dest(value_src: str, indices: List[str]) -> None:
-            strides = out_info.strides[-len(indices):] if indices else ("1",)
-            terms = [
-                idx if stride == "1" else f"{idx} * {stride}"
-                for idx, stride in zip(indices, strides)
-            ]
-            offset = " + ".join(terms) if terms else "0"
-            self.w.line(f"out[{offset}] = {value_src};")
+    def _out_offset(self, indices: List[str]) -> str:
+        """The linear ``out`` offset of the element at ``indices``."""
+        if not indices:
+            return "0"
+        strides = self.ctx.arrays["__out__"].strides[-len(indices):]
+        return " + ".join(
+            idx if stride == "1" else f"{idx} * {stride}"
+            for idx, stride in zip(indices, strides)
+        )
 
-        return dest
+    def _write_out(self, value_src: str, indices: List[str]) -> None:
+        """The root pattern's destination: one element of ``out``."""
+        self.w.line(f"out[{self._out_offset(indices)}] = {value_src};")
 
     # -- pattern emission ---------------------------------------------------
 
@@ -554,7 +554,8 @@ class KernelGenerator:
             # kernel launched afterwards.
             if not any(name == "partials" for _, name in self.params):
                 self.params.append((f"{elem}*", "partials"))
-            out_offset = " + ".join(out_indices) if out_indices else "0"
+            # The slot the combiner reads for out[i] is i * k + block.
+            out_offset = self._out_offset(out_indices)
             size_src = lower_expr(pattern.size, self.ctx)
             extent = self._grid_extent(lm, size_src)
             bid = self._block_coord(lm, size_src)

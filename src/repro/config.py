@@ -27,10 +27,6 @@ DEFAULT_MAX_DOP = 100 * DEFAULT_MIN_DOP
 # Candidate block sizes considered by the mapping search (Algorithm 1).
 BLOCK_SIZE_CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-# Deterministic seed for the paper's "pick randomly" tie-break, so that
-# experiment tables are reproducible run to run.
-TIE_BREAK_SEED = 0x5EED
-
 # Reserved keys in Program.size_hints:
 #   DEFAULT_HINT_KEY overrides the 1000-default for dynamically sized
 #   inner domains (e.g. the average degree of a graph workload);

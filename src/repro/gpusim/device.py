@@ -69,10 +69,6 @@ class GpuDevice:
         return self.num_sms * self.max_warps_per_sm
 
     @property
-    def max_resident_blocks(self) -> int:
-        return self.num_sms * self.max_blocks_per_sm
-
-    @property
     def peak_flops(self) -> float:
         """Peak single-issue arithmetic throughput (ops/second)."""
         return self.num_sms * self.cores_per_sm * self.clock_ghz * 1e9

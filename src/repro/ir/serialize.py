@@ -61,7 +61,7 @@ FORMAT_VERSION = 1
 #: change makes previously generated artifacts (mappings, CUDA, costs)
 #: stale even though the IR format is unchanged, and every cached
 #: artifact is transparently invalidated.
-PIPELINE_VERSION = 6
+PIPELINE_VERSION = 7
 
 _SCALARS = {"f32", "f64", "i32", "i64", "bool"}
 

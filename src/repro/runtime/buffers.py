@@ -8,7 +8,7 @@ Section VI-E includes for the Naive Bayes application.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import RuntimeConfigError
 from ..gpusim.device import GpuDevice, default_device
@@ -56,9 +56,6 @@ class BufferManager:
     @property
     def peak_bytes(self) -> int:
         return self._peak_bytes
-
-    def live_buffers(self) -> List[DeviceBuffer]:
-        return list(self._buffers.values())
 
     def transfer_time_us(self, nbytes: float) -> float:
         """Host-device copy time over PCIe (latency + bandwidth)."""

@@ -5,7 +5,8 @@ batch engine — must pick the *byte-identical* winner for any input:
 same mapping, same exact score, same DOP, same candidate counts, the
 same top-5 ``ranked`` list, and (under ``keep_all``) the same scored
 candidate list in the same order.  ``ranked`` must also equal the
-reference's ``keep_all`` list sorted by ``ranking_key``, cut to 5.
+reference's ``keep_all`` list sorted by ``ranking_key``, cut to 5, and
+its first entry, after ControlDOP, must be the result's mapping.
 These tests replay the checked-in difftest corpus plus a fresh
 generator sample through both engines and through ``search_mapping``,
 cover sizes past float and int64 precision, then pin the selection
@@ -20,6 +21,7 @@ import pytest
 
 from repro.analysis import analyze_program
 from repro.analysis.constraints import Constraint, ConstraintSet, CoalesceDimX
+from repro.analysis.dop import DopWindow, control_dop
 from repro.analysis.search import (
     RANKED_CANDIDATES,
     ranking_key,
@@ -65,16 +67,28 @@ def _scored(candidates):
     return [(str(c.mapping), c.score, c.dop) for c in candidates]
 
 
-def _assert_ranked_from_keep_all(ref, context=""):
-    """``ranked`` is the keep_all list in provenance order, cut to 5."""
+def _assert_pick_is_rank_1(result, cset, sizes, context=""):
+    """ControlDOP applied to ``ranked[0]`` gives the result's mapping."""
+    pick = control_dop(
+        result.ranked[0].mapping, tuple(sizes), DopWindow(),
+        cset.span_all_levels(),
+    )
+    assert pick == result.mapping, context
+    assert result.ranked[0].score == result.score, context
+
+
+def _assert_ranked_from_keep_all(ref, cset, sizes, context=""):
+    """``ranked`` is the keep_all list in the search's order, cut to 5,
+    and its rank 1 is the pick."""
     expected = sorted(ref.all_scored, key=ranking_key)[:RANKED_CANDIDATES]
     assert _scored(ref.ranked) == _scored(expected), context
+    _assert_pick_is_rank_1(ref, cset, sizes, context)
 
 
 def _check_kernel_across_engines(ka, context):
     args = (ka.depth, ka.constraints, ka.level_sizes())
     ref = search_mapping_reference(*args, keep_all=True)
-    _assert_ranked_from_keep_all(ref, context)
+    _assert_ranked_from_keep_all(ref, *args[1:], context)
     # Every generated constraint family carries a batch predicate; the
     # vectorized engine must accept the whole corpus, not quietly
     # degrade.
@@ -156,37 +170,35 @@ def test_randomized_vectorized_equivalence(depth):
             cset = _feasible_cset(rng, depth)
             sizes = large[trial - trials]
             keep = True
-        tie_seed = rng.randint(0, 10_000)
         context = f"depth={depth} trial={trial} sizes={sizes}"
         try:
             ref = search_mapping_reference(
-                depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-                keep_all=keep,
+                depth, cset, sizes, block_sizes=grid, keep_all=keep,
             )
         except SearchError:
             with pytest.raises(SearchError):
                 search_mapping_vectorized(
-                    depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-                    keep_all=keep,
+                    depth, cset, sizes, block_sizes=grid, keep_all=keep,
                 )
             continue
         vec = search_mapping_vectorized(
-            depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-            keep_all=keep,
+            depth, cset, sizes, block_sizes=grid, keep_all=keep,
         )
         _assert_byte_identical(ref, vec, context)
-        if trial >= trials:
-            _assert_ranked_from_keep_all(ref, context)
+        if keep:
+            _assert_ranked_from_keep_all(ref, cset, sizes, context)
+        else:
+            _assert_pick_is_rank_1(ref, cset, sizes, context)
 
 
-def test_ranked_keeps_enumeration_order_among_ties():
+def test_ranked_orders_ties_by_dimensions_and_spans():
     """With no constraints every candidate scores 0, so the top 5 are
-    decided by DOP, block sizes and then enumeration order, ties across
+    decided by DOP, block sizes, dimensions and span kinds, ties across
     the cut included."""
     for sizes in ((64, 64), (3, 5), (1, 1)):
         ref = search_mapping_reference(2, ConstraintSet(), sizes,
                                        keep_all=True)
-        _assert_ranked_from_keep_all(ref, sizes)
+        _assert_ranked_from_keep_all(ref, ConstraintSet(), sizes, sizes)
         vec = search_mapping_vectorized(2, ConstraintSet(), sizes)
         assert _scored(vec.ranked) == _scored(ref.ranked), sizes
 
@@ -228,7 +240,7 @@ def test_overflowing_dop_runs_vectorized(name):
     result = search_mapping(*args, keep_all=True, use_cache=False)
     assert result.strategy == "vectorized"
     _assert_byte_identical(ref, result, name)
-    _assert_ranked_from_keep_all(ref, name)
+    _assert_ranked_from_keep_all(ref, *args[1:], name)
 
 
 # -- engine selection ------------------------------------------------------

@@ -4,7 +4,7 @@ The vectorized engine and the memo are pure performance work: for any
 constraint set they must select the *byte-identical* winner — same
 mapping, same score, same DOP, same candidate counts — because the
 figure experiments and codegen snapshots depend on the exact choice
-(including the seeded tie-breaks).  These tests compare
+(including the order among tied candidates).  These tests compare
 ``search_mapping`` against the reference across randomized constraint
 sets at depths 1-4 and over every bundled application kernel.
 """
@@ -97,22 +97,19 @@ def test_randomized_equivalence(depth, trial_seed):
     for trial in range(trials):
         cset = random_cset(rng, depth)
         sizes = [rng.choice([1, 7, 32, 100, 4096]) for _ in range(depth)]
-        tie_seed = rng.randint(0, 10_000)
         context = f"depth={depth} trial={trial} sizes={sizes}"
         try:
             ref = search_mapping_reference(
-                depth, cset, sizes, block_sizes=grid, seed=tie_seed,
+                depth, cset, sizes, block_sizes=grid,
             )
         except SearchError:
             with pytest.raises(SearchError):
                 search_mapping(
-                    depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-                    use_cache=False,
+                    depth, cset, sizes, block_sizes=grid, use_cache=False,
                 )
             continue
         new = search_mapping(
-            depth, cset, sizes, block_sizes=grid, seed=tie_seed,
-            use_cache=False,
+            depth, cset, sizes, block_sizes=grid, use_cache=False,
         )
         assert_equivalent(ref, new, context)
 

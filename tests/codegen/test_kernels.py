@@ -1,5 +1,7 @@
 """Tests for CUDA kernel generation, including the Figure 9 golden test."""
 
+import re
+
 import pytest
 
 from repro.analysis.mapping import Dim, LevelMapping, Mapping, Span, SpanAll, Split, seq_level
@@ -77,6 +79,38 @@ class TestTemplateSelection:
         assert "partials" in k.source
         assert k.combiner_source
         assert "_combine(" in k.combiner_source
+
+    def test_split_partials_one_slot_per_output_element(self):
+        """A split reduce under a 2-D output writes output element i's
+        partial of block b to slot i * k + b, which the combiner reads."""
+        from repro.apps import ALL_APPS
+
+        P, K, k = 4, 3, 2
+        m = Mapping(
+            (
+                LevelMapping(Dim.Y, 16, Span(1)),
+                LevelMapping(Dim.Z, 1, Span(1)),
+                LevelMapping(Dim.X, 64, Split(k)),
+            )
+        )
+        src = generate(
+            ALL_APPS["msmbuilder"].build(), m, P=P, K=K, D=128
+        ).source
+        # The output indices are the threads' y and z coordinates.
+        p_name = re.search(r"long long (\w+) = blockIdx\.y", src).group(1)
+        k_name = re.search(r"long long (\w+) = blockIdx\.z", src).group(1)
+        (line,) = [ln for ln in src.splitlines() if "partials[" in ln]
+        index = line.split("partials[", 1)[1].split("] =", 1)[0]
+        index = index.replace("blockIdx.x", "b")
+        slots = []
+        for p0 in range(P):
+            for k0 in range(K):
+                for b in range(k):
+                    env = {p_name: p0, k_name: k0, "b": b}
+                    slot = eval(index, {}, env)
+                    assert slot == (p0 * K + k0) * k + b, (index, env)
+                    slots.append(slot)
+        assert len(set(slots)) == P * K * k == 24
 
     def test_span_n_emits_span_loop(self, sum_rows_program):
         m = Mapping(

@@ -40,12 +40,13 @@ def _scaled(app, factor):
     }
 
 
-def _priced_programs():
-    cases = []
-    for name in sorted(ALL_APPS):
-        app = ALL_APPS[name]
-        cases.append((f"{name}", app.build, app.default_params))
-        cases.append((f"{name}-x1.37", app.build, _scaled(app, 1.37)))
+def _default_programs():
+    """The 18 apps at default sizes, the 20 corpus programs at their
+    declared sizes."""
+    cases = [
+        (name, ALL_APPS[name].build, ALL_APPS[name].default_params)
+        for name in sorted(ALL_APPS)
+    ]
     for index, spec in enumerate(load_corpus(CORPUS_PATH)):
         program = build_program(spec)
         cases.append(
@@ -54,8 +55,13 @@ def _priced_programs():
     return cases
 
 
-#: 56 programs: 18 apps at default and x1.37 sizes, 20 corpus programs.
-_CASES = _priced_programs()
+_DEFAULT_CASES = _default_programs()
+
+#: 56 programs: the 38 above, plus the 18 apps at x1.37 sizes.
+_CASES = _DEFAULT_CASES + [
+    (f"{name}-x1.37", ALL_APPS[name].build, _scaled(ALL_APPS[name], 1.37))
+    for name in sorted(ALL_APPS)
+]
 
 
 @pytest.mark.parametrize(
@@ -71,14 +77,13 @@ def test_stored_cost_equals_figure_harness(build, sizes):
 
 def test_search_pick_within_slack_of_cheapest_tied_candidate():
     kernels = 0
-    for name in sorted(ALL_APPS):
-        app = ALL_APPS[name]
-        compiled = GpuSession().compile(app.build(), **app.default_params)
+    for name, build, sizes in _DEFAULT_CASES:
+        compiled = GpuSession().compile(build(), **sizes)
         device, env = compiled.device, compiled.analysis.env
         window = device.dop_window()
         for index, decision in enumerate(compiled.decisions):
             ka = decision.analysis
-            sizes = tuple(ka.level_sizes())
+            level_sizes = tuple(ka.level_sizes())
             scored = ka.select_mapping(
                 window=window, keep_all=True, use_cache=False
             ).all_scored
@@ -88,7 +93,7 @@ def test_search_pick_within_slack_of_cheapest_tied_candidate():
                 if (candidate.score, candidate.dop) != top:
                     continue
                 mapping = control_dop(
-                    candidate.mapping, sizes, window,
+                    candidate.mapping, level_sizes, window,
                     ka.constraints.span_all_levels(),
                 )
                 plan = build_plan(ka, mapping, device, compiled.flags)
@@ -99,4 +104,4 @@ def test_search_pick_within_slack_of_cheapest_tied_candidate():
             ratio = decision.cost(device, env).total_us / min(costs)
             assert ratio <= TIE_BREAK_SLACK, (name, index, ratio)
             kernels += 1
-    assert kernels == 20
+    assert kernels == 40
