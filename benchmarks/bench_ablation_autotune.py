@@ -51,7 +51,7 @@ def test_score_vs_autotune(benchmark, name, builder, params):
         iterations=1,
     )
 
-    scored = decide_mapping(ka, "multidim", TESLA_K20C, optimize=False)
+    scored = decide_mapping(ka, "multidim", TESLA_K20C)
     scored_time = estimate_kernel_cost(
         ka, scored.mapping, TESLA_K20C, pa.env
     ).total_us

@@ -45,7 +45,7 @@ def test_smem_prefetch_ablation(benchmark):
 
     pa = analyze_program(program, **PARAMS)
     ka = pa.kernel(0)
-    decision = decide_mapping(ka, "multidim", TESLA_K20C, optimize=False)
+    decision = decide_mapping(ka, "multidim", TESLA_K20C)
     mapping = decision.mapping
 
     with_smem = build_plan(

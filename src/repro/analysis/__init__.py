@@ -10,7 +10,8 @@ Public surface:
   (byte-identical to the reference, candidate matrix at once).
 * :mod:`repro.analysis.cache` — the one bounded memo (``LRUCache``) and
   the search memo's keys.
-* :mod:`repro.analysis.strategies` — fixed baselines from prior work.
+* :mod:`repro.analysis.strategies` — fixed baselines from prior work
+  and their scores beside a decision.
 """
 
 from .access import (  # noqa: F401
@@ -29,11 +30,6 @@ from .cache import (  # noqa: F401
     get_autotune_cache,
     get_search_cache,
     search_cache_key,
-)
-from .explain import (  # noqa: F401
-    MappingExplanation,
-    explain_mapping,
-    render_telemetry,
 )
 from .analyzer import (  # noqa: F401
     KernelAnalysis,
@@ -81,6 +77,7 @@ from .vectorized import (  # noqa: F401
 from .shapes import SizeEnv, eval_size  # noqa: F401
 from .strategies import (  # noqa: F401
     FIXED_STRATEGIES,
+    baseline_scores,
     fixed_strategy,
     one_d,
     thread_block_thread,

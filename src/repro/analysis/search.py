@@ -151,10 +151,10 @@ class SearchResult:
         """The canonical diagnostics view of this result.
 
         Single source for every reporting surface: the metrics registry
-        (:func:`_record_search_metrics`), the ``--explain`` rendering
-        (:func:`repro.analysis.explain.render_telemetry`), and the
-        provenance artifact — so search counters are defined once, not
-        duplicated per format.
+        (:func:`_record_search_metrics`) and the provenance record, whose
+        render is every printed rationale (``repro map --explain``,
+        compilation reports, ``repro explain``) — so search counters are
+        defined once, not duplicated per format.
         """
         return {
             "strategy": self.strategy,

@@ -17,11 +17,13 @@ them by name to produce the comparison figures.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..config import MAX_BLOCK_SIZE, WARP_SIZE
 from ..errors import MappingError
+from .constraints import ConstraintSet
 from .mapping import Dim, LevelMapping, Mapping, Span, SpanAll, Split, seq_level
+from .scoring import score_mapping
 
 
 def one_d(sizes: Sequence[int], block_size: int = 256) -> Mapping:
@@ -110,6 +112,31 @@ FIXED_STRATEGIES: Dict[str, Callable[[Sequence[int]], Mapping]] = {
     "thread-block/thread": thread_block_thread,
     "warp-based": warp_based,
 }
+
+
+def baseline_scores(
+    cset: ConstraintSet, sizes: Sequence[int]
+) -> Dict[str, Optional[float]]:
+    """Each fixed strategy's score under ``cset`` at ``sizes`` (None when
+    its mapping violates a hard constraint).
+
+    What ``repro map --explain`` and compilation reports compare a
+    decision against; no artifact stores these scores.
+    """
+    sizes_t = tuple(sizes)
+    return {
+        name: score_mapping(factory(sizes_t), cset, sizes_t)
+        for name, factory in FIXED_STRATEGIES.items()
+    }
+
+
+def render_baseline_scores(cset: ConstraintSet, sizes: Sequence[int]) -> str:
+    """The :func:`baseline_scores` table as printed under a rationale."""
+    lines = ["baseline strategies at these sizes:"]
+    for name, score in baseline_scores(cset, sizes).items():
+        shown = "infeasible" if score is None else f"{score:.4g}"
+        lines.append(f"  {name:<22} score {shown}")
+    return "\n".join(lines)
 
 
 def fixed_strategy(name: str, sizes: Sequence[int]) -> Mapping:

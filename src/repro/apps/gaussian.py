@@ -127,19 +127,19 @@ def _swap_dims(mapping):
 
 def manual_time_us(device: GpuDevice, **params: int) -> float:
     """Rodinia's CUDA: correct Fan1, non-coalesced Fan2."""
-    from ..analysis.analyzer import analyze_program
     from ..gpusim.cost import estimate_kernel_cost
-    from ..gpusim.simulator import decide_mapping
+    from ..runtime.session import GpuSession
 
-    pa = analyze_program(build_gaussian("R"), **params)
+    compiled = GpuSession(device, resilient=False).compile(
+        build_gaussian("R"), **params
+    )
     total = 0.0
-    for ka in pa.kernels:
-        decision = decide_mapping(ka, "multidim", device)
-        mapping = decision.mapping
+    for decision in compiled.decisions:
+        ka, mapping = decision.analysis, decision.mapping
         if ka.depth >= 2:
             mapping = _swap_dims(mapping)
         total += estimate_kernel_cost(
-            ka, mapping, device, pa.env, decision.plan
+            ka, mapping, device, compiled.analysis.env, decision.plan
         ).total_us
     return total
 

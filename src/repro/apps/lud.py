@@ -74,13 +74,11 @@ def reference(inputs: Dict[str, Any]) -> np.ndarray:
 
 def manual_time_us(device: GpuDevice, **params: int) -> float:
     """Rodinia's blocked shared-memory LUD, modeled from its mechanism."""
-    from ..analysis.analyzer import analyze_program
-    from ..gpusim.simulator import decide_mapping
+    from ..runtime.session import GpuSession
 
-    pa = analyze_program(build_lud_step(), **params)
-    ka = pa.kernel(0)
-    decision = decide_mapping(ka, "multidim", device)
-    cost = decision.cost(device, pa.env)
+    cost = GpuSession(device, resilient=False).compile(
+        build_lud_step(), **params
+    ).estimate_cost().kernels[0]
     blocked = (
         cost.launch_us
         + cost.block_sched_us

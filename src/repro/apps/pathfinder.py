@@ -73,13 +73,11 @@ def manual_time_us(device: GpuDevice, **params: int) -> float:
     (negligible for wide rows).  Unfused cost components come from our own
     simulator so the comparison is internally consistent.
     """
-    from ..analysis.analyzer import analyze_program
-    from ..gpusim.simulator import decide_mapping
+    from ..runtime.session import GpuSession
 
-    pa = analyze_program(build_pathfinder_step(), **params)
-    ka = pa.kernel(0)
-    decision = decide_mapping(ka, "multidim", device)
-    cost = decision.cost(device, pa.env)
+    cost = GpuSession(device, resilient=False).compile(
+        build_pathfinder_step(), **params
+    ).estimate_cost().kernels[0]
     k = FUSION_DEPTH
     # The wall row must be read every step even when fused; only the
     # prev/next vectors stay resident in shared memory between steps.

@@ -7,8 +7,9 @@ Commands
     Package overview and modeled devices.
 ``apps``
     List the registered benchmark applications.
-``map <app> [k=v ...]``
-    Show the analysis for an app: constraints, chosen mapping per kernel,
+``map <app> [k=v ...] [--explain]``
+    Compile an app and show, per kernel, its constraints and mapping (or
+    with ``--explain`` its provenance record and the baselines' scores)
     and the simulated cost breakdown.
 ``cuda <app> [k=v ...] [--strategy S] [--host] [-o FILE]``
     Dump the generated CUDA for an app (optionally with the host driver).
@@ -125,33 +126,29 @@ def _resolve_app(name: str):
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_program
-    from repro.gpusim import decide_mapping, default_device
-    from repro.optim.pipeline import OptimizationFlags
-
+    from repro.analysis.strategies import render_baseline_scores
     from repro.apps import merge_params
+    from repro.optim.pipeline import OptimizationFlags
+    from repro.runtime import GpuSession
 
     app = _resolve_app(args.app)
     sizes = merge_params(app, _parse_sizes(args.sizes))
     flags = OptimizationFlags.from_names(getattr(args, "disable_opt", None))
-    device = default_device()
-    pa = analyze_program(app.build(), **sizes)
-    for index, ka in enumerate(pa.kernels):
-        print(f"=== kernel {index} (depth {ka.depth}, "
-              f"sizes {ka.level_sizes()}) ===")
-        decision = decide_mapping(ka, args.strategy, device, flags=flags)
+    compiled = GpuSession(strategy=args.strategy, flags=flags).compile(
+        app.build(), **sizes
+    )
+    cost = compiled.estimate_cost()
+    for index, decision in enumerate(compiled.decisions):
+        ka = decision.analysis
         if args.explain:
-            from repro.analysis import explain_mapping
-
-            print(
-                explain_mapping(
-                    ka, decision.mapping, search_result=decision.search
-                ).render()
-            )
+            print(compiled.provenance().kernels[index].render())
+            print(render_baseline_scores(ka.constraints, ka.level_sizes()))
         else:
+            print(f"=== kernel {index} (depth {ka.depth}, "
+                  f"sizes {ka.level_sizes()}) ===")
             print(ka.constraints.describe())
             print(f"mapping: {decision.mapping}")
-        print(decision.cost(device, pa.env).describe())
+        print(cost.kernels[index].describe())
         print()
     return 0
 
@@ -225,10 +222,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.figures.runner import write_experiments_md
 
     write_experiments_md(
-        args.output,
-        checkpoint_path=args.checkpoint,
-        retries=args.retries,
-        progress=print if args.verbose else None,
+        args.output, progress=print if args.verbose else None
     )
     print(f"wrote {args.output}")
     return 0
@@ -1185,7 +1179,7 @@ def cmd_recipe_tune(args: argparse.Namespace) -> int:
     pa = analyze_program(app.build(), **sizes)
     payload = []
     for index, ka in enumerate(pa.kernels):
-        decision = decide_mapping(ka, args.strategy, device, optimize=False)
+        decision = decide_mapping(ka, args.strategy, device)
         budget = (
             Budget(max_nodes=args.budget) if args.budget else None
         )
@@ -1277,7 +1271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--strategy", default="multidim")
     p_map.add_argument(
         "--explain", action="store_true",
-        help="per-constraint accounting of the mapping's score",
+        help="print each kernel's provenance record (verdicts, top "
+        "candidates, search telemetry) and the baselines' scores",
     )
     add_disable_opt_flag(p_map)
     p_map.set_defaults(fn=cmd_map)
@@ -1314,11 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiments", help="regenerate EXPERIMENTS.md")
     p_exp.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    p_exp.add_argument("--checkpoint", default=None, metavar="FILE",
-                       help="resume/record sweep progress in this file")
-    p_exp.add_argument("--retries", type=int, default=0,
-                       help="retry a crashed experiment this many times "
-                       "with jittered backoff (default 0)")
     p_exp.add_argument("-v", "--verbose", action="store_true",
                        help="print a line per finished experiment")
     p_exp.set_defaults(fn=cmd_experiments)

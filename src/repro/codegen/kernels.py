@@ -189,15 +189,20 @@ class KernelGenerator:
         return info
 
     def _output_strides(self) -> Tuple[str, ...]:
-        # Output axes follow the spine of Map levels (synthetic access).
+        # Output axes follow the spine of Map levels (synthetic access);
+        # their extents index symbolically, like the input arrays'.
         spine = [
             s for s in self.analysis.accesses.sites if s.array_key == "__out__"
         ]
         if not spine:
             return ("1",)
         rank = len(spine[0].axis_forms)
-        extents = [str(e) for e in spine[0].shape]
-        return _row_major_strides(extents[:rank])
+        return _row_major_strides(
+            [
+                lower_expr(p.size, self.ctx)
+                for p in spine[0].pattern_stack[:rank]
+            ]
+        )
 
     def _collect_params(self, out_info: ArrayInfo) -> None:
         written = {

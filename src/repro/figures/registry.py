@@ -539,7 +539,7 @@ def fig16_prealloc(device: Optional[GpuDevice] = None) -> ExperimentResult:
         program = app.build()
         analysis = analyze_program(program, **params)
         ka = analysis.kernel(0)
-        decision = decide_mapping(ka, "multidim", device, optimize=False)
+        decision = decide_mapping(ka, "multidim", device)
         mapping = decision.mapping
         configs = {
             "prealloc+layout": OptimizationFlags(True, True, True),

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import sys
-import time
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from ..gpusim.device import GpuDevice, default_device
 from ..observability import capture
@@ -153,62 +152,13 @@ def _experiment_section(eid: str) -> List[str]:
 
 def write_experiments_md(
     path: str = "EXPERIMENTS.md",
-    checkpoint_path: Optional[str] = None,
-    retries: int = 0,
-    sleep: Callable[[float], None] = time.sleep,
     progress: Optional[Callable[[str], None]] = None,
 ) -> None:
     """Regenerate EXPERIMENTS.md with current measured values.
 
-    With ``checkpoint_path``, every finished experiment's section is
-    persisted so an interrupted sweep resumes at the first unfinished
-    experiment.  ``retries`` re-runs an experiment that raises a
-    :class:`~repro.errors.ReproError` with jittered backoff before
-    letting the error escape (the file is only written once every
-    section succeeded — a partial sweep never overwrites a complete
-    EXPERIMENTS.md).
+    The file is only written once every section succeeded: a failing
+    experiment never overwrites a complete EXPERIMENTS.md.
     """
-    from ..resilience.retry import Checkpoint, retry_with_backoff
-
-    checkpoint: Optional[Checkpoint] = None
-    sections: Dict[str, List[str]] = {}
-    if checkpoint_path is not None:
-        checkpoint = Checkpoint(checkpoint_path, key={
-            "campaign": "experiments",
-            "experiments": list(EXPERIMENTS),
-        })
-        state = checkpoint.load()
-        if state is not None:
-            saved = state.get("sections")
-            if isinstance(saved, dict):
-                sections = {
-                    eid: list(body)
-                    for eid, body in saved.items()
-                    if eid in EXPERIMENTS and isinstance(body, list)
-                }
-                if sections and progress:
-                    progress(
-                        f"resumed with {len(sections)} finished "
-                        f"experiment(s): {', '.join(sorted(sections))}"
-                    )
-
-    for index, eid in enumerate(EXPERIMENTS):
-        if eid in sections:
-            continue
-        if retries > 0:
-            sections[eid] = retry_with_backoff(
-                lambda eid=eid: _experiment_section(eid),
-                retries=retries,
-                seed=index,
-                sleep=sleep,
-            )
-        else:
-            sections[eid] = _experiment_section(eid)
-        if progress:
-            progress(f"measured {eid}")
-        if checkpoint is not None:
-            checkpoint.save({"sections": sections})
-
     lines = [
         "# EXPERIMENTS — paper vs reproduction",
         "",
@@ -225,12 +175,12 @@ def write_experiments_md(
         "",
     ]
     for eid in EXPERIMENTS:
-        lines.extend(sections[eid])
+        lines.extend(_experiment_section(eid))
+        if progress:
+            progress(f"measured {eid}")
     lines.extend(_DIFFTEST_EPILOGUE)
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
-    if checkpoint is not None:
-        checkpoint.clear()
 
 
 #: Static trailer: the differential-testing campaign is not a paper figure,

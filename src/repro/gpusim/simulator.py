@@ -1,10 +1,12 @@
 """Simulator facade: program + strategy -> estimated execution time.
 
-This is the low-level entry point the runtime session and the benchmark
-harness build on.  A *strategy* is either the name of a fixed baseline
-("1d", "thread-block/thread", "warp-based"), the string "multidim" (run the
+A *strategy* is either the name of a fixed baseline ("1d",
+"thread-block/thread", "warp-based"), the string "multidim" (run the
 paper's search per kernel), or an explicit :class:`Mapping` applied to every
-kernel.
+kernel.  :func:`decide_mapping` resolves a strategy to one kernel's
+mapping; :func:`simulate_program` prices a whole program through
+:meth:`repro.runtime.session.GpuSession.compile`, the one pipeline that
+builds launch plans, so the figures price the kernels that ship.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..analysis.analyzer import KernelAnalysis, analyze_program
+from ..analysis.analyzer import KernelAnalysis
 from ..analysis.mapping import Mapping
 from ..analysis.search import SearchResult
 from ..analysis.shapes import SizeEnv
 from ..ir.patterns import Program
 from .cost import LaunchPlan, estimate_kernel_cost
-from .device import GpuDevice, default_device
+from .device import GpuDevice
 from .stats import KernelCost, ProgramCost
 
 Strategy = Union[str, Mapping]
@@ -49,18 +51,14 @@ def decide_mapping(
     analysis: KernelAnalysis,
     strategy: Strategy,
     device: GpuDevice,
-    optimize: bool = True,
     budget=None,
-    flags=None,
 ) -> KernelDecision:
     """Resolve a strategy to a concrete mapping for one kernel.
 
-    With ``optimize=True`` (the default, matching the paper's "all results
-    utilized the optimizations where applicable") the Section-V pipeline
-    builds the launch plan; otherwise a bare plan with preallocation only.
-    ``budget`` bounds the MultiDim search (ignored by fixed strategies,
-    which decide in constant time); ``flags`` selects which optimization
-    passes the pipeline applies (default: all).
+    The decision carries a bare plan (preallocation only); the session
+    replaces it with the plan the Section-V pipeline builds.  ``budget``
+    bounds the MultiDim search (ignored by fixed strategies, which decide
+    in constant time).
     """
     score: Optional[float] = None
     search: Optional[SearchResult] = None
@@ -73,23 +71,15 @@ def decide_mapping(
         mapping, score = search.mapping, search.score
     else:
         mapping = analysis.strategy_mapping(strategy)
-    recipe = None
-    if optimize:
-        from ..optim.pipeline import build_plan_with_recipe
-
-        plan, recipe = build_plan_with_recipe(
-            analysis, mapping, device, flags
-        )
-    else:
-        plan = LaunchPlan(prealloc=True)
-    return KernelDecision(analysis, mapping, plan, score, search, recipe)
+    return KernelDecision(
+        analysis, mapping, LaunchPlan(prealloc=True), score, search
+    )
 
 
 def simulate_program(
     program: Program,
     strategy: Strategy = "multidim",
     device: Optional[GpuDevice] = None,
-    plan: Optional[LaunchPlan] = None,
     input_bytes: float = 0.0,
     include_transfer: bool = False,
     **sizes: int,
@@ -99,28 +89,13 @@ def simulate_program(
     ``sizes`` override the program's size hints (the benchmark harness
     sweeps shapes this way).  ``input_bytes``/``include_transfer`` model
     the host-to-device copy the paper includes only in Section VI-E.
+    Every stage error escapes: nothing degrades under a figure.
     """
-    from ..observability import instrumented_stage
+    from ..runtime.session import GpuSession
 
-    with instrumented_stage(
-        "simulate_program",
-        inject=False,
-        program=program.name,
-        strategy=str(strategy),
-    ) as span:
-        if device is None:
-            device = default_device()
-        pa = analyze_program(program, **sizes)
-        result = ProgramCost()
-        for ka in pa.kernels:
-            decision = decide_mapping(ka, strategy, device)
-            if plan is not None:
-                decision.plan = plan
-            result.kernels.append(decision.cost(device, pa.env))
-        if include_transfer and input_bytes > 0:
-            result.transfer_us = (
-                device.pcie_latency_us
-                + input_bytes / (device.pcie_bandwidth_gbs * 1e9) * 1e6
-            )
-        span.set(kernels=len(result.kernels), total_us=round(result.total_us, 3))
-        return result
+    compiled = GpuSession(device, strategy, resilient=False).compile(
+        program, **sizes
+    )
+    return compiled.estimate_cost(
+        include_transfer=include_transfer, input_bytes=input_bytes
+    )

@@ -4,7 +4,9 @@ A :class:`CompileProvenance` captures, for every kernel of a compile, the
 chosen mapping, the search telemetry, and the top 5 ranked candidates
 with per-constraint verdicts and score deltas.  Serialized to JSON it
 lets ``repro explain <artifact>`` render the full rationale from a saved
-file instead of re-running the search.
+file instead of re-running the search.  :meth:`KernelProvenance.render`
+is the one printed rationale: ``repro map --explain`` and
+:meth:`~repro.runtime.session.CompiledProgram.report` print it too.
 
 The record is built from the compile's own records and runs no search:
 the candidates are the :attr:`~repro.analysis.search.SearchResult.ranked`
@@ -174,10 +176,8 @@ class KernelProvenance:
         if self.note:
             lines.append(f"note: {self.note}")
         if self.search:
-            pairs = ", ".join(
-                f"{key}={value}" for key, value in self.search.items()
-            )
-            lines.append(f"search: {pairs}")
+            lines.append("search telemetry:")
+            lines.extend("  " + line for line in _telemetry_lines(self.search))
         if self.verdicts:
             lines.append("constraints under the winner:")
             for verdict in sorted(
@@ -204,6 +204,31 @@ class KernelProvenance:
                         )
                     )
         return "\n".join(lines)
+
+
+def _telemetry_lines(data: Dict[str, Any]) -> List[str]:
+    """Human-readable lines for a :meth:`SearchResult.telemetry` dict."""
+    cached = bool(data.get("cache_hit"))
+    lines = [
+        f"strategy: {data.get('strategy')}"
+        + (" (served from cache)" if cached else ""),
+        (
+            f"candidates: {data.get('candidates_total')} enumerated, "
+            f"{data.get('candidates_feasible')} feasible"
+        ),
+        (
+            f"work: {data.get('candidates_scored')} scored, "
+            f"{data.get('candidates_skipped')} skipped"
+        ),
+        f"wall time: {data.get('elapsed_ms', 0.0):.3g} ms"
+        + (" (original search; cache lookup was ~free)" if cached else ""),
+    ]
+    if data.get("batch_shape"):
+        rows, axes = data["batch_shape"]
+        lines.insert(
+            2, f"batch: {rows} x {axes} candidate matrix (vectorized engine)"
+        )
+    return lines
 
 
 @dataclass

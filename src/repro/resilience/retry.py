@@ -1,8 +1,7 @@
 """Retry with jittered backoff, and file-backed campaign checkpoints.
 
-Long-running loops (difftest campaigns, figure sweeps, autotune sweeps)
-use these so a mid-campaign crash — injected or real — resumes instead of
-restarting:
+Long-running loops (difftest campaigns) use these so a mid-campaign
+crash — injected or real — resumes instead of restarting:
 
 * :func:`retry_with_backoff` re-invokes a callable on
   :class:`~repro.errors.ReproError` with exponentially growing,

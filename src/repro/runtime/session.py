@@ -38,6 +38,7 @@ from typing import Any, Dict, List, NoReturn, Optional, Union
 from ..analysis.analyzer import ProgramAnalysis, analyze_program
 from ..analysis.mapping import Mapping
 from ..analysis.shapes import SizeEnv
+from ..analysis.strategies import render_baseline_scores
 from ..codegen.compiler import CompiledModule, compile_program
 from ..errors import ReproError, SimulationError
 from ..gpusim.cost import (
@@ -193,7 +194,7 @@ class CompiledProgram:
         """Simulate execution time, optionally at different runtime sizes.
 
         At the compile's own sizes each kernel is priced with the mapping
-        and launch plan it ships, as ``simulate_program`` prices it.  At
+        and launch plan it ships (``simulate_program`` is this call).  At
         other sizes, with ``dynamic_launch`` (the default), block sizes
         and span/split factors are re-tuned per kernel while keeping the
         static dimension/span-kind decision, as in Section IV-D, and the
@@ -272,10 +273,10 @@ class CompiledProgram:
         return "\n".join(lines)
 
     def report(self) -> str:
-        """A markdown compilation report: per-kernel mapping rationale,
-        cost breakdown, and the generated CUDA."""
-        from ..analysis.explain import explain_mapping
-
+        """A markdown compilation report: per-kernel mapping rationale
+        (the provenance record), cost breakdown, and the generated CUDA."""
+        provenance = self.provenance()
+        cost = self.estimate_cost()
         lines = [
             f"# Compilation report: {self.program.name}",
             "",
@@ -302,14 +303,16 @@ class CompiledProgram:
             lines.append("### Why this mapping")
             lines.append("")
             lines.append("```")
-            lines.append(explain_mapping(ka, decision.mapping).render())
+            lines.append(provenance.kernels[index].render())
+            lines.append(
+                render_baseline_scores(ka.constraints, ka.level_sizes())
+            )
             lines.append("```")
             lines.append("")
             lines.append("### Simulated cost")
             lines.append("")
             lines.append("```")
-            cost = decision.cost(self.device, self.analysis.env)
-            lines.append(cost.describe())
+            lines.append(cost.kernels[index].describe())
             lines.append("```")
             lines.append("")
         lines.append("## Generated CUDA")
@@ -431,8 +434,7 @@ class GpuSession:
         for index, ka in enumerate(analysis.kernels):
             try:
                 decision = decide_mapping(
-                    ka, self.strategy, self.device, optimize=False,
-                    budget=budget,
+                    ka, self.strategy, self.device, budget=budget
                 )
             except ReproError as exc:
                 # Only the MultiDim search has a safe substitute; fixed

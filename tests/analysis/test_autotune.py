@@ -28,7 +28,7 @@ class TestAutotune:
         pa = analyze_program(sum_rows_program, R=4096, C=4096)
         ka = pa.kernel(0)
         tuned = autotune_mapping(ka, TESLA_K20C, block_sizes=SMALL_BLOCKS)
-        scored = decide_mapping(ka, "multidim", TESLA_K20C, optimize=False)
+        scored = decide_mapping(ka, "multidim", TESLA_K20C)
         scored_time = estimate_kernel_cost(
             ka, scored.mapping, TESLA_K20C, pa.env
         ).total_us
@@ -51,7 +51,7 @@ class TestAutotune:
         pa = analyze_program(sum_rows_program, R=4096, C=4096)
         ka = pa.kernel(0)
         tuned = autotune_mapping(ka, TESLA_K20C, block_sizes=SMALL_BLOCKS)
-        scored = decide_mapping(ka, "multidim", TESLA_K20C, optimize=False)
+        scored = decide_mapping(ka, "multidim", TESLA_K20C)
         scored_time = estimate_kernel_cost(
             ka, scored.mapping, TESLA_K20C, pa.env
         ).total_us

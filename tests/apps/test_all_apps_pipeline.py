@@ -11,25 +11,31 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_program
 from repro.analysis.scoring import hard_feasible
 from repro.apps import ALL_APPS
 from repro.codegen import generate_host_driver
-from repro.gpusim import TESLA_K20C, decide_mapping, estimate_kernel_cost
+from repro.gpusim import TESLA_K20C
 from repro.runtime.session import GpuSession
 
 APP_NAMES = sorted(ALL_APPS)
 
 
-@pytest.mark.parametrize("name", APP_NAMES)
-def test_multidim_pipeline(name):
+def _compile(name, strategy):
     app = ALL_APPS[name]
     params = dict(app.default_params)
-    program = app.build()
-    pa = analyze_program(program, **params)
+    compiled = GpuSession(TESLA_K20C, strategy, resilient=False).compile(
+        app.build(), **params
+    )
+    for cost in compiled.estimate_cost().kernels:
+        assert np.isfinite(cost.total_us) and cost.total_us > 0, name
+    return compiled, params
 
-    for ka in pa.kernels:
-        decision = decide_mapping(ka, "multidim", TESLA_K20C)
+
+@pytest.mark.parametrize("name", APP_NAMES)
+def test_multidim_pipeline(name):
+    compiled, params = _compile(name, "multidim")
+    for decision in compiled.decisions:
+        ka = decision.analysis
         sizes = ka.level_sizes()
         assert hard_feasible(decision.mapping, ka.constraints, sizes), name
         dop = decision.mapping.dop(sizes)
@@ -37,31 +43,17 @@ def test_multidim_pipeline(name):
         # DOP is bounded by the domain and (modulo rounding and
         # single-shot ControlDOP) by the device window.
         assert dop <= max(total, TESLA_K20C.min_dop * 2), name
-        cost = estimate_kernel_cost(
-            ka, decision.mapping, TESLA_K20C, pa.env, decision.plan
-        )
-        assert np.isfinite(cost.total_us) and cost.total_us > 0, name
 
-    module = GpuSession().compile(program, **params).module
-    assert module.source.count("__global__") >= len(pa.kernels), name
+    module = compiled.module
+    assert module.source.count("__global__") >= len(compiled.decisions), name
     host = generate_host_driver(module, params)
     assert "int main()" in host, name
 
 
 @pytest.mark.parametrize("name", APP_NAMES)
 def test_one_d_pipeline(name):
-    app = ALL_APPS[name]
-    params = dict(app.default_params)
-    program = app.build()
-    pa = analyze_program(program, **params)
-    for ka in pa.kernels:
-        decision = decide_mapping(ka, "1d", TESLA_K20C)
-        cost = estimate_kernel_cost(
-            ka, decision.mapping, TESLA_K20C, pa.env, decision.plan
-        )
-        assert np.isfinite(cost.total_us) and cost.total_us > 0, name
-    module = GpuSession(strategy="1d").compile(program, **params).module
-    assert "__global__" in module.source, name
+    compiled, _ = _compile(name, "1d")
+    assert "__global__" in compiled.module.source, name
 
 
 #: Single-level Filter/GroupBy apps: the analysis honors the paper's hard

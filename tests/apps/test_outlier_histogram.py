@@ -13,6 +13,7 @@ from repro.apps.outlier_histogram import (
 )
 from repro.gpusim import TESLA_K20C, decide_mapping
 from repro.interp import run_program
+from repro.runtime.session import GpuSession
 
 
 class TestCorrectness:
@@ -45,19 +46,18 @@ class TestMapping:
         assert isinstance(d.mapping.level(0).span, (SpanAll, Split))
 
     def test_filter_charges_atomics(self):
-        pa = analyze_program(OUTLIER_FILTER.build(), N=1 << 20)
-        d = decide_mapping(pa.kernel(0), "multidim", TESLA_K20C)
-        cost = d.cost(TESLA_K20C, pa.env)
-        assert cost.atomic_us > 0
+        compiled = GpuSession(resilient=False).compile(
+            OUTLIER_FILTER.build(), N=1 << 20
+        )
+        assert compiled.estimate_cost().kernels[0].atomic_us > 0
 
     def test_histogram_charges_atomics(self):
-        pa = analyze_program(HISTOGRAM.build(), N=1 << 20)
-        d = decide_mapping(pa.kernel(0), "multidim", TESLA_K20C)
-        assert d.cost(TESLA_K20C, pa.env).atomic_us > 0
+        compiled = GpuSession(resilient=False).compile(
+            HISTOGRAM.build(), N=1 << 20
+        )
+        assert compiled.estimate_cost().kernels[0].atomic_us > 0
 
     def test_codegen_emits_atomics(self):
-        from repro.runtime.session import GpuSession
-
         filter_src = GpuSession().compile(
             OUTLIER_FILTER.build(), N=1 << 20
         ).module.source

@@ -106,11 +106,35 @@ class TestTemplateSelection:
         for p0 in range(P):
             for k0 in range(K):
                 for b in range(k):
-                    env = {p_name: p0, k_name: k0, "b": b}
+                    env = {p_name: p0, k_name: k0, "b": b, "K": K}
                     slot = eval(index, {}, env)
                     assert slot == (p0 * K + k0) * k + b, (index, env)
                     slots.append(slot)
         assert len(set(slots)) == P * K * k == 24
+
+    @pytest.mark.parametrize(
+        "name", ["hotspot", "mandelbrot", "srad", "msmbuilder"]
+    )
+    def test_out_strides_are_symbolic(self, name):
+        """``out`` is indexed through the size parameters, like the
+        inputs: the index text is the same at any compile sizes."""
+        from repro.apps import ALL_APPS
+        from repro.ir.serialize import canonicalize_program
+
+        app = ALL_APPS[name]
+        scaled = {
+            key: max(16, int(round(value * 0.71))) if value > 16 else value
+            for key, value in app.default_params.items()
+        }
+        program = canonicalize_program(app.build())
+        indices = []
+        for sizes in (app.default_params, scaled):
+            src = GpuSession(resilient=False).compile(
+                program, **sizes
+            ).cuda_source
+            indices.append(re.findall(r"\bout\[([^\]]*)\]", src))
+        assert indices[0] and indices[0] == indices[1]
+        assert any("*" in index for index in indices[0])
 
     def test_span_n_emits_span_loop(self, sum_rows_program):
         m = Mapping(

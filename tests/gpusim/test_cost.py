@@ -116,9 +116,7 @@ class TestLayoutEffect:
         from repro.optim import OptimizationFlags, build_plan
 
         ka, env = kernel(sum_weighted_cols_program, R=8192, C=8192)
-        mapping = decide_mapping(
-            ka, "multidim", TESLA_K20C, optimize=False
-        ).mapping
+        mapping = decide_mapping(ka, "multidim", TESLA_K20C).mapping
         opt = build_plan(ka, mapping, TESLA_K20C,
                          OptimizationFlags(True, True, False))
         fixed = build_plan(ka, mapping, TESLA_K20C,
@@ -192,9 +190,7 @@ class TestSharedMemoryPrefetch:
 
         prog = build_qpscd()
         ka, env = kernel(prog, S=65536, N=65536, C=1024)
-        mapping = decide_mapping(
-            ka, "multidim", TESLA_K20C, optimize=False
-        ).mapping
+        mapping = decide_mapping(ka, "multidim", TESLA_K20C).mapping
         base = cost_of(ka, env, mapping, LaunchPlan(prealloc=True))
         pre = cost_of(
             ka,

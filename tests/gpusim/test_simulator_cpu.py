@@ -4,9 +4,11 @@ import pytest
 
 from repro.analysis.analyzer import analyze_program
 from repro.analysis.mapping import Dim, LevelMapping, Mapping, Span, SpanAll
+from repro.gpusim.cost import LaunchPlan
 from repro.gpusim.cpu import XEON_X5550_DUAL, estimate_cpu_time_us
 from repro.gpusim.device import TESLA_K20C
 from repro.gpusim.simulator import decide_mapping, simulate_program
+from repro.runtime.session import GpuSession
 
 
 class TestSimulateProgram:
@@ -67,17 +69,22 @@ class TestDecideMapping:
         assert d.score is not None and d.score > 0
 
     def test_optimize_builds_plan(self, sum_weighted_cols_program):
-        pa = analyze_program(sum_weighted_cols_program, R=256, C=256)
-        d = decide_mapping(pa.kernel(0), "multidim", TESLA_K20C)
+        """The session's optimizer stage builds the plan that ships."""
+        compiled = GpuSession(resilient=False).compile(
+            sum_weighted_cols_program, R=256, C=256
+        )
+        d = compiled.decisions[0]
         assert d.plan.prealloc
         assert len(d.plan.layout_strides) == 1
+        assert d.recipe is not None
 
     def test_no_optimize_bare_plan(self, sum_weighted_cols_program):
+        """Deciding a mapping builds no plan: the session replaces the
+        bare one."""
         pa = analyze_program(sum_weighted_cols_program, R=256, C=256)
-        d = decide_mapping(
-            pa.kernel(0), "multidim", TESLA_K20C, optimize=False
-        )
-        assert d.plan.layout_strides == ()
+        d = decide_mapping(pa.kernel(0), "multidim", TESLA_K20C)
+        assert d.plan == LaunchPlan(prealloc=True)
+        assert d.recipe is None
 
 
 class TestCpuModel:

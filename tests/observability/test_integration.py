@@ -108,13 +108,20 @@ class TestElapsedReporting:
         assert second.elapsed_ms == first.elapsed_ms
 
     def test_telemetry_is_single_source_for_explain(self):
-        from repro.analysis.explain import render_telemetry
+        from repro.observability.provenance import KernelProvenance
 
         result = search_mapping(2, ConstraintSet(), (32, 32), use_cache=False)
-        lines = "\n".join(render_telemetry(result))
         data = result.telemetry()
-        assert f"strategy: {data['strategy']}" in lines
-        assert str(data["candidates_scored"]) in lines
+        record = KernelProvenance(
+            index=0, depth=2, level_sizes=[32, 32], mapping=str(result.mapping),
+            score=result.score, max_score=0.0, search=data,
+        )
+        lines = record.render()
+        assert f"  strategy: {data['strategy']}\n" in lines
+        assert (
+            f"  work: {data['candidates_scored']} scored, "
+            f"{data['candidates_skipped']} skipped"
+        ) in lines
 
 
 class TestFailureReportTraceEmbed:

@@ -259,8 +259,8 @@ class TestCampaignResume:
         assert len(calls) == 2
 
 
-class TestExperimentsResume:
-    """write_experiments_md checkpoint/retry (the figures sweep wiring)."""
+class TestExperimentsSweep:
+    """write_experiments_md never writes a partial sweep."""
 
     class _Fake:
         def __init__(self, title):
@@ -286,31 +286,16 @@ class TestExperimentsResume:
         monkeypatch.setattr(runner, "EXPERIMENTS", registry)
         return state
 
-    def test_sweep_resumes_after_crash(self, tmp_path, monkeypatch):
+    def test_failing_sweep_writes_no_file(self, tmp_path, monkeypatch):
         from repro.figures.runner import write_experiments_md
 
         self._install_registry(monkeypatch, fail_once_on="expB")
         out = tmp_path / "EXP.md"
-        ckpt = str(tmp_path / "sweep.json")
 
         with pytest.raises(AnalysisError):
-            write_experiments_md(str(out), checkpoint_path=ckpt)
+            write_experiments_md(str(out))
         assert not out.exists()  # a partial sweep never writes the file
-        saved = json.loads((tmp_path / "sweep.json").read_text())
-        assert "expA" in saved["state"]["sections"]
 
-        write_experiments_md(str(out), checkpoint_path=ckpt)
+        write_experiments_md(str(out))
         text = out.read_text()
         assert "row-expA" in text and "row-expB" in text
-        assert not (tmp_path / "sweep.json").exists()
-
-    def test_sweep_retries_transient_failure(self, tmp_path, monkeypatch):
-        from repro.figures.runner import write_experiments_md
-
-        state = self._install_registry(monkeypatch, fail_once_on="expA")
-        out = tmp_path / "EXP.md"
-        write_experiments_md(
-            str(out), retries=1, sleep=lambda _: None
-        )
-        assert state["failed"]
-        assert "row-expA" in out.read_text()

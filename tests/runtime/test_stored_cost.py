@@ -1,9 +1,10 @@
 """The stored cost prices the plan the artifact ships.
 
 At the sizes a program was compiled at, ``CompiledProgram.estimate_cost``
-prices each kernel's own mapping and launch plan, which is what the
-figure harness (``simulate_program``) prices for the same program and
-sizes.  Launch adjustment runs only at other sizes.
+prices each kernel's own mapping and launch plan.  The figure harness
+(``simulate_program``) is a fresh session compile priced the same way,
+so both agree for the same program and sizes.  Launch adjustment runs
+only at other sizes.
 
 Because the stored cost is the search's pick, the tie-break among
 candidates the score cannot separate matters: the pick must be close to
