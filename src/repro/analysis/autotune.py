@@ -66,7 +66,6 @@ def _autotune_cache_key(
     window: DopWindow,
     block_sizes: Tuple[int, ...],
     keep_top: int,
-    apply_control_dop: bool,
 ) -> Tuple:
     """Everything the cost-model pricing reads, canonicalized.
 
@@ -89,7 +88,6 @@ def _autotune_cache_key(
         (window.min_dop, window.max_dop),
         block_sizes,
         keep_top,
-        apply_control_dop,
     )
 
 
@@ -100,7 +98,6 @@ def autotune_mapping(
     window: Optional[DopWindow] = None,
     block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
     keep_top: int = 10,
-    apply_control_dop: bool = True,
     use_cache: bool = True,
     budget: Optional[Budget] = None,
 ) -> AutotuneResult:
@@ -133,8 +130,7 @@ def autotune_mapping(
     key = None
     if memo is not None:
         key = _autotune_cache_key(
-            analysis, device, env, window, block_sizes, keep_top,
-            apply_control_dop,
+            analysis, device, env, window, block_sizes, keep_top
         )
         try:
             hit = memo.get(key)
@@ -184,8 +180,7 @@ def autotune_mapping(
             candidate, analysis.constraints, sizes
         ):
             continue
-        if apply_control_dop:
-            candidate = control_dop(candidate, sizes, window, splittable)
+        candidate = control_dop(candidate, sizes, window, splittable)
         time_us = estimate_kernel_cost(
             analysis, candidate, device, env
         ).total_us

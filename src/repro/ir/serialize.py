@@ -452,51 +452,37 @@ def content_digest(data: Any) -> str:
 _PATTERN_TAGS = ("map", "zipwith", "reduce", "filter", "groupby", "foreach")
 
 
-def _collect_binders(node: Any, order: list) -> None:
-    """Record every binder name in deterministic traversal order."""
+def _walk(node: Any, binders: list, names: set, var_nodes: list) -> None:
+    """One pass over a serialized node tree: append every binder name to
+    ``binders`` in deterministic order (a node's binders before its
+    children, children in sorted-key order), every ``var``/``param``
+    occurrence name (free or bound) to ``names``, and every ``var`` node
+    to ``var_nodes``.  Type dicts carry no ``n`` tag and hold no nodes."""
     if isinstance(node, list):
         for item in node:
-            _collect_binders(item, order)
+            _walk(item, binders, names, var_nodes)
         return
     if not isinstance(node, dict):
         return
     tag = node.get("n")
-    if tag in _PATTERN_TAGS:
-        order.append(node["index"]["name"])
-    elif tag == "bind":
-        order.append(node["var"]["name"])
-    if tag == "reduce" and "combine" in node:
-        order.append(node["combine"][0]["name"])
-        order.append(node["combine"][1]["name"])
-    for key in sorted(node):
-        _collect_binders(node[key], order)
-
-
-def _rename_vars(node: Any, mapping: Dict[str, str]) -> Any:
-    """Rewrite every ``var`` occurrence through ``mapping`` (params and
-    free names pass through untouched)."""
-    if isinstance(node, list):
-        return [_rename_vars(item, mapping) for item in node]
-    if not isinstance(node, dict):
-        return node
-    out = {key: _rename_vars(value, mapping) for key, value in node.items()}
-    if out.get("n") == "var":
-        out["name"] = mapping.get(out["name"], out["name"])
-    return out
-
-
-def _collect_names(node: Any, names: set) -> None:
-    """Record every ``var``/``param`` occurrence name (free or bound)."""
-    if isinstance(node, list):
-        for item in node:
-            _collect_names(item, names)
+    if tag is None:
         return
-    if not isinstance(node, dict):
-        return
-    if node.get("n") in ("var", "param"):
+    if tag == "var":
+        var_nodes.append(node)
         names.add(node["name"])
+        return
+    if tag == "param":
+        names.add(node["name"])
+        return
+    if tag in _PATTERN_TAGS:
+        binders.append(node["index"]["name"])
+    elif tag == "bind":
+        binders.append(node["var"]["name"])
+    if tag == "reduce" and "combine" in node:
+        binders.append(node["combine"][0]["name"])
+        binders.append(node["combine"][1]["name"])
     for key in sorted(node):
-        _collect_names(node[key], names)
+        _walk(node[key], binders, names, var_nodes)
 
 
 def canonical_program_dict(program: Program) -> Dict[str, Any]:
@@ -522,25 +508,30 @@ def canonical_program_dict(program: Program) -> Dict[str, Any]:
     different programs never share a canonical form; the only cost is
     that alpha-equivalent spellings of such programs stay apart (a cache
     split, not a wrong artifact).
+
+    One walk collects the binders, the names and the ``var`` nodes; the
+    rename rewrites those nodes in place (:func:`program_to_dict` built
+    every node dict fresh, one per occurrence).
     """
     data = program_to_dict(program)
-    order: list = []
-    _collect_binders(data["params"], order)
-    _collect_binders(data["result"], order)
-    for name in sorted(data.get("array_shapes", {})):
-        _collect_binders(data["array_shapes"][name], order)
-    binders = set(order)
-    free: set = {p["name"] for p in data["params"]}
-    free.update(data.get("size_hints") or {})
-    free.update(data.get("array_shapes") or {})
-    _collect_names(data.get("array_shapes") or {}, free)
-    if len(binders) != len(order) or binders & free:
-        return data
+    binders: list = []
     used: set = set()
-    _collect_names(data["result"], used)
-    free |= used - binders
+    var_nodes: list = []
+    free: set = {p["name"] for p in data["params"]}
+    free.update(data["size_hints"])
+    free.update(data["array_shapes"])
+    _walk(data["result"], binders, used, var_nodes)
+    for name in sorted(data["array_shapes"]):
+        _walk(data["array_shapes"][name], binders, free, var_nodes)
+    bound = set(binders)
+    if len(bound) != len(binders) or bound & free:
+        return data
+    free |= used - bound
     targets = (f"_b{k}" for k in itertools.count() if f"_b{k}" not in free)
-    return _rename_vars(data, dict(zip(order, targets)))
+    mapping = dict(zip(binders, targets))
+    for node in var_nodes:
+        node["name"] = mapping.get(node["name"], node["name"])
+    return data
 
 
 def canonicalize_program(program: Program) -> Program:

@@ -353,7 +353,7 @@ def kernel_provenance(decision, index: int, strategy) -> KernelProvenance:
 
     if strategy != "multidim":
         record.note = (
-            f"fixed strategy {strategy!r}: mapping chosen structurally, "
+            f"fixed strategy {str(strategy)!r}: mapping chosen structurally, "
             "no candidate search ran"
         )
         return record

@@ -357,13 +357,10 @@ def verify_recipe(
 
     if device is None:
         device = recipe.resolve_device()
-    flags = OptimizationFlags(
-        prealloc=bool(recipe.flags.get("prealloc", True)),
-        layout_opt=bool(recipe.flags.get("layout_opt", True)),
-        shared_memory=bool(recipe.flags.get("shared_memory", True)),
-    )
     session = GpuSession(
-        device=device, strategy=recipe.strategy, flags=flags
+        device=device,
+        strategy=recipe.strategy,
+        flags=OptimizationFlags.from_dict(recipe.flags),
     )
     compiled = session.compile(program, **recipe.sizes)
     if len(compiled.decisions) != len(recipe.kernels):
@@ -430,11 +427,7 @@ def build_compile_recipe(compiled) -> Recipe:
         device=compiled.device.name,
         strategy=str(compiled.strategy),
         sizes=dict(compiled.size_hints),
-        flags={
-            "prealloc": compiled.flags.prealloc,
-            "layout_opt": compiled.flags.layout_opt,
-            "shared_memory": compiled.flags.shared_memory,
-        },
+        flags=compiled.flags.to_dict(),
         pipeline_version=PIPELINE_VERSION,
         kernels=kernels,
     )

@@ -20,7 +20,7 @@ the exact pass sequence with pre/post state digests
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.analyzer import KernelAnalysis
 from ..analysis.mapping import Mapping
@@ -84,6 +84,23 @@ class OptimizationFlags:
                 )
             values[field] = False
         return cls(**values)
+
+    def to_dict(self) -> Dict[str, bool]:
+        """The JSON form requests, artifacts and recipes carry."""
+        return {
+            "prealloc": self.prealloc,
+            "layout_opt": self.layout_opt,
+            "shared_memory": self.shared_memory,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "OptimizationFlags":
+        """Inverse of :meth:`to_dict`; a missing key means enabled."""
+        return cls(
+            prealloc=bool(data.get("prealloc", True)),
+            layout_opt=bool(data.get("layout_opt", True)),
+            shared_memory=bool(data.get("shared_memory", True)),
+        )
 
     def disabled_names(self) -> Tuple[str, ...]:
         """Pass names currently disabled (inverse of :meth:`from_names`)."""

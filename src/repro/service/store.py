@@ -260,11 +260,7 @@ def build_artifact(
         strategy=str(compiled.strategy),
         device=compiled.device.name,
         sizes=dict(compiled.size_hints),
-        flags={
-            "prealloc": compiled.flags.prealloc,
-            "layout_opt": compiled.flags.layout_opt,
-            "shared_memory": compiled.flags.shared_memory,
-        },
+        flags=compiled.flags.to_dict(),
         mappings=[str(d.mapping) for d in compiled.decisions],
         cuda_source=compiled.cuda_source,
         cost=cost_dict,

@@ -90,6 +90,27 @@ class TestBuildProvenance:
         assert "fixed strategy" in kernel.note
         assert kernel.candidates == []
 
+    def test_explicit_mapping_strategy_note_prints_the_mapping(
+        self, sum_rows_program
+    ):
+        from repro.analysis.mapping import (
+            Dim,
+            LevelMapping,
+            Mapping,
+            Span,
+            seq_level,
+        )
+
+        mapping = Mapping((LevelMapping(Dim.X, 256, Span(1)), seq_level()))
+        compiled = GpuSession(strategy=mapping).compile(
+            sum_rows_program, R=64, C=64
+        )
+        kernel = build_provenance(compiled).kernels[0]
+        assert kernel.note == (
+            "fixed strategy 'L0[dimx, 256, span(1)] L1[seq]': mapping "
+            "chosen structurally, no candidate search ran"
+        )
+
     def test_degraded_search_notes_fallback(self, sum_cols_program):
         from repro.analysis.cache import clear_caches
 
