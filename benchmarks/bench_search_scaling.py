@@ -1,18 +1,14 @@
-"""Search-scaling benchmark: reference vs vectorized vs cached.
+"""Search-scaling benchmark: reference vs vectorized.
 
-Quantifies the staged search's two wins across nest depths 1-5 and two
-block-size grids:
+Quantifies the staged search's win across nest depths 1-5 and two
+block-size grids: the NumPy batch engine evaluates the whole candidate
+matrix at once, byte-identical to the exhaustive reference, which is
+what makes depth-5 sweeps tractable — the reference is skipped there
+(minutes per run).
 
-* **vectorization** — the NumPy batch engine evaluating the whole
-  candidate matrix at once, byte-identical to the exhaustive reference,
-  which is what makes depth-5 sweeps tractable — the reference is
-  skipped there (minutes per run);
-* **memoization** — the cross-sweep cache hit rate when a shape sweep
-  re-decides mappings for unchanged kernels.
-
-The vectorized and cached rows run ``search_mapping`` as production
-calls it: the engine is the one it picks for the kernel's constraint
-set (asserted to be the vectorized engine).
+The vectorized rows run ``search_mapping`` as production calls it: the
+engine is the one it picks for the kernel's constraint set (asserted to
+be the vectorized engine).
 
 Rows are written to ``BENCH_search_scaling.json`` at the repo root (same
 one-row-per-measurement layout as the other ``BENCH_*`` artifacts).  Run
@@ -29,25 +25,21 @@ from typing import Dict, List
 
 from repro.analysis import (
     analyze_program,
-    clear_caches,
     search_mapping,
     search_mapping_reference,
 )
 from repro.config import BLOCK_SIZE_CANDIDATES
 from repro.ir import Builder, F64
 from repro.ir.builder import range_map
-from repro.observability import capture
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_search_scaling.json"
 
 #: Default-grid speedups the vectorized engine must hold over the
-#: exhaustive reference (cold, uncached), per depth.  They measure
+#: exhaustive reference, per depth.  They measure
 #: 250-600x on the benchmark machines; the floors leave headroom for
 #: noisy runners while still catching a collapse back to per-candidate
 #: work.
 MIN_VEC_SPEEDUP = {3: 100.0, 4: 200.0}
-#: Hit rate the memo must reach on a sweep of unchanged kernels.
-MIN_HIT_RATE = 0.90
 #: The exhaustive reference is skipped at and beyond this depth (it
 #: needs minutes per run there; the vectorized engine is the practical
 #: oracle proxy, and its byte-identity to the reference is test-enforced
@@ -159,7 +151,7 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def run_scaling() -> List[Dict]:
-    """Reference / vectorized / cached rows per (depth, grid)."""
+    """Reference / vectorized rows per (depth, grid)."""
     rows: List[Dict] = []
     for depth, (make, sizes) in sorted(DEPTH_CASES.items()):
         ka = analyze_program(make(), **sizes).kernel(0)
@@ -173,7 +165,6 @@ def run_scaling() -> List[Dict]:
                     repeats=1 if depth >= 3 else 3,
                 )
 
-            clear_caches()
             vectorized = search_mapping(*args, block_sizes=grid)
             assert vectorized.strategy == "vectorized", (depth, grid_name)
             if ref is not None:
@@ -183,19 +174,11 @@ def run_scaling() -> List[Dict]:
                 assert (vectorized.candidates_feasible
                         == ref.candidates_feasible)
             vec_ms = _time_best(
-                lambda: search_mapping(*args, block_sizes=grid,
-                                       use_cache=False),
-                repeats=3,
-            )
-            cached_ms = _time_best(
                 lambda: search_mapping(*args, block_sizes=grid),
                 repeats=3,
             )
 
-            measured = [
-                ("vectorized", vec_ms, vectorized),
-                ("cached", cached_ms, vectorized),
-            ]
+            measured = [("vectorized", vec_ms, vectorized)]
             if ref is not None:
                 measured.insert(0, ("reference", ref_ms, ref))
             for strategy, wall_ms, result in measured:
@@ -211,10 +194,7 @@ def run_scaling() -> List[Dict]:
                     ),
                     candidates_total=result.candidates_total,
                     candidates_feasible=result.candidates_feasible,
-                    candidates_scored=(
-                        0 if strategy == "cached"
-                        else result.candidates_scored
-                    ),
+                    candidates_scored=result.candidates_scored,
                     batch_shape=(
                         list(result.batch_shape)
                         if getattr(result, "batch_shape", None) is not None
@@ -222,35 +202,6 @@ def run_scaling() -> List[Dict]:
                     ),
                 ))
     return rows
-
-
-def run_cache_sweep(points: int = 10, repeats_per_point: int = 11) -> Dict:
-    """A shape sweep that re-decides each point's mapping several times.
-
-    Models how the figure runners behave: every sweep point is a new
-    shape (cache miss), but repeated kernels within the point reuse the
-    memo.  With 11 invocations per point that is 10 misses against 100
-    hits — the acceptance bar is a >= 90% hit rate.
-    """
-    program = _make_sum_rows()
-    clear_caches()
-    with capture() as observation:
-        for i in range(points):
-            ka = analyze_program(
-                program, R=1024 + 512 * i, C=4096
-            ).kernel(0)
-            for _ in range(repeats_per_point):
-                search_mapping(ka.depth, ka.constraints, ka.level_sizes())
-    hits = int(observation.metrics.counter("cache.search.hits").value)
-    misses = int(observation.metrics.counter("cache.search.misses").value)
-    return dict(
-        bench="search_cache_sweep",
-        points=points,
-        repeats_per_point=repeats_per_point,
-        hits=hits,
-        misses=misses,
-        hit_rate=round(hits / (hits + misses), 4),
-    )
 
 
 def _vec_speedup(rows: List[Dict], depth: int) -> float:
@@ -262,15 +213,13 @@ def _vec_speedup(rows: List[Dict], depth: int) -> float:
             / by_key[(depth, "default", "vectorized")])
 
 
-def _write(rows: List[Dict], sweep: Dict) -> None:
-    _OUT.write_text(json.dumps(
-        dict(rows=rows + [sweep]), indent=2) + "\n")
+def _write(rows: List[Dict]) -> None:
+    _OUT.write_text(json.dumps(dict(rows=rows), indent=2) + "\n")
 
 
-def test_bench_search_scaling_and_cache():
+def test_bench_search_scaling():
     rows = run_scaling()
-    sweep = run_cache_sweep()
-    _write(rows, sweep)
+    _write(rows)
 
     speedups = {depth: _vec_speedup(rows, depth) for depth in MIN_VEC_SPEEDUP}
     print()
@@ -284,14 +233,11 @@ def test_bench_search_scaling_and_cache():
     for depth, speedup in speedups.items():
         print(f"depth-{depth} default-grid vectorized-vs-reference: "
               f"{speedup:.1f}x (floor {MIN_VEC_SPEEDUP[depth]}x)")
-    print(f"cache sweep hit rate: {sweep['hit_rate']:.1%} "
-          f"(floor {MIN_HIT_RATE:.0%})")
 
     for depth, speedup in speedups.items():
         assert speedup >= MIN_VEC_SPEEDUP[depth], (depth, speedup)
-    assert sweep["hit_rate"] >= MIN_HIT_RATE
 
 
 if __name__ == "__main__":
-    test_bench_search_scaling_and_cache()
+    test_bench_search_scaling()
     print(f"wrote {_OUT}")

@@ -85,9 +85,7 @@ def measure_kernels(program, sizes) -> List[Dict]:
         ka = decision.analysis
         level_sizes = tuple(ka.level_sizes())
         span_all = ka.constraints.span_all_levels()
-        search = ka.select_mapping(
-            window=window, keep_all=True, use_cache=False
-        )
+        search = ka.select_mapping(window=window, keep_all=True)
         top = (search.ranked[0].score, search.ranked[0].dop)
         costs = []
         for candidate in search.all_scored:

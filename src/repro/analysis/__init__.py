@@ -4,12 +4,11 @@ Public surface:
 
 * :mod:`repro.analysis.mapping` — Dim / block size / Span-Split parameters.
 * :mod:`repro.analysis.analyzer` — one-call program analysis facade.
-* :mod:`repro.analysis.search` — the staged Algorithm-1 search (memo,
-  engine selection, and the exhaustive reference oracle).
+* :mod:`repro.analysis.search` — the staged Algorithm-1 search (engine
+  selection and the exhaustive reference oracle).
 * :mod:`repro.analysis.vectorized` — the NumPy batch search engine
   (byte-identical to the reference, candidate matrix at once).
-* :mod:`repro.analysis.cache` — the one bounded memo (``LRUCache``) and
-  the search memo's keys.
+* :mod:`repro.analysis.cache` — the one bounded memo (``LRUCache``).
 * :mod:`repro.analysis.strategies` — fixed baselines from prior work
   and their scores beside a decision.
 """
@@ -23,14 +22,7 @@ from .access import (  # noqa: F401
     linear_form,
 )
 from .autotune import AutotuneResult, autotune_mapping  # noqa: F401
-from .cache import (  # noqa: F401
-    LRUCache,
-    clear_caches,
-    constraint_set_fingerprint,
-    get_autotune_cache,
-    get_search_cache,
-    search_cache_key,
-)
+from .cache import LRUCache, clear_caches  # noqa: F401
 from .analyzer import (  # noqa: F401
     KernelAnalysis,
     ProgramAnalysis,

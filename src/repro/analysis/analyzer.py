@@ -52,16 +52,12 @@ class KernelAnalysis:
         self,
         window: Optional[DopWindow] = None,
         keep_all: bool = False,
-        use_cache: bool = True,
         budget=None,
     ) -> SearchResult:
         """Run the Algorithm-1 search for this kernel (MultiDim strategy).
 
-        The staged search memoizes whole results, so shape sweeps and
-        repeated kernels return instantly (``use_cache=False`` forces a
-        fresh walk; the result is identical either way).  ``budget``
-        bounds the walk; on exhaustion the result degrades to the
-        conservative fallback mapping.
+        ``budget`` bounds the walk; on exhaustion the result degrades to
+        the conservative fallback mapping.
         """
         return search_mapping(
             self.depth,
@@ -69,7 +65,6 @@ class KernelAnalysis:
             self.level_sizes(),
             window=window,
             keep_all=keep_all,
-            use_cache=use_cache,
             budget=budget,
         )
 

@@ -25,13 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..config import BLOCK_SIZE_CANDIDATES
 from ..errors import ReproError, SearchError
 from ..resilience.budget import Budget
-from ..resilience.faults import maybe_inject
 from .analyzer import KernelAnalysis
-from .cache import (
-    constraint_set_fingerprint,
-    count_memo,
-    get_autotune_cache,
-)
 from .dop import DopWindow, control_dop
 from .mapping import Mapping
 from .scoring import hard_feasible
@@ -49,46 +43,12 @@ class AutotuneResult:
     candidates: int
     #: (mapping, time) pairs, fastest first, truncated to ``keep_top``.
     frontier: List[Tuple[Mapping, float]] = field(default_factory=list)
-    #: True when this result was served from the cross-sweep memo.
-    cache_hit: bool = False
     #: Candidates whose modeled cost was NaN/Inf (dropped, never chosen).
     rejected_nonfinite: int = 0
     #: True when the tuner stopped early (budget) and returned its
     #: best-so-far, or degraded to the conservative fallback mapping.
     degraded: bool = False
     degraded_reason: str = ""
-
-
-def _autotune_cache_key(
-    analysis: KernelAnalysis,
-    device,
-    env: SizeEnv,
-    window: DopWindow,
-    block_sizes: Tuple[int, ...],
-    keep_top: int,
-) -> Tuple:
-    """Everything the cost-model pricing reads, canonicalized.
-
-    Unlike the constraint search, the tuner's result depends on the full
-    kernel (access sites drive the cost model), so the key includes the
-    canonical IR rendering and the size environment alongside the
-    constraint fingerprint.
-    """
-    from ..ir.printer import pretty
-
-    return (
-        "autotune",
-        pretty(analysis.root),
-        tuple(sorted(env.values.items())),
-        tuple(sorted(env.array_shapes.items())),
-        (env.default, env.skew),
-        constraint_set_fingerprint(analysis.constraints),
-        tuple(analysis.level_sizes()),
-        device.name,
-        (window.min_dop, window.max_dop),
-        block_sizes,
-        keep_top,
-    )
 
 
 def autotune_mapping(
@@ -98,7 +58,6 @@ def autotune_mapping(
     window: Optional[DopWindow] = None,
     block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
     keep_top: int = 10,
-    use_cache: bool = True,
     budget: Optional[Budget] = None,
 ) -> AutotuneResult:
     """Pick the mapping the cost model likes best.
@@ -106,16 +65,12 @@ def autotune_mapping(
     Every candidate satisfying the hard constraints is priced with
     :func:`repro.gpusim.cost.estimate_kernel_cost`; ControlDOP is applied
     per candidate (its Span(n)/Split(k) refinement changes cost too).
-    Results are memoized per (kernel IR, sizes, device, grid) so repeated
-    tuning of an unchanged kernel is free.
 
     Robustness: candidates the cost model prices at NaN/Inf are dropped
     (a poisoned model must never *win* the tuning); when ``budget`` runs
     out mid-sweep the tuner returns its best-so-far (``degraded=True``),
     or the conservative fallback mapping if nothing was priced yet.
     """
-    from dataclasses import replace
-
     from ..gpusim.cost import estimate_kernel_cost
 
     if env is None:
@@ -125,28 +80,6 @@ def autotune_mapping(
     block_sizes = tuple(block_sizes)
     if budget is not None:
         budget.start()
-
-    memo = get_autotune_cache() if use_cache else None
-    key = None
-    if memo is not None:
-        key = _autotune_cache_key(
-            analysis, device, env, window, block_sizes, keep_top
-        )
-        try:
-            hit = memo.get(key)
-            count_memo("autotune", "misses" if hit is None else "hits")
-            fault = maybe_inject("memo")
-            if fault is not None and hit is not None:
-                hit = replace(hit, mapping=None)
-        except ReproError:
-            # A failing memo costs this request a re-tune, nothing more.
-            hit = None
-        if hit is not None:
-            if isinstance(hit, AutotuneResult) and isinstance(
-                hit.mapping, Mapping
-            ) and math.isfinite(hit.time_us):
-                return replace(hit, cache_hit=True)
-            count_memo("autotune", "invalidations", memo.pop(key))
 
     sizes = tuple(analysis.level_sizes())
     splittable = analysis.constraints.span_all_levels()
@@ -205,7 +138,7 @@ def autotune_mapping(
         raise SearchError("no feasible mapping to autotune over")
     timed.sort(key=lambda mt: mt[1])
     best_mapping, best_time = timed[0]
-    result = AutotuneResult(
+    return AutotuneResult(
         mapping=best_mapping,
         time_us=best_time,
         candidates=len(timed),
@@ -219,11 +152,6 @@ def autotune_mapping(
             else ""
         ),
     )
-    if memo is not None and key is not None and not result.degraded:
-        # Best-so-far under a budget is not the true optimum for this
-        # key; caching it would poison budget-free callers.
-        count_memo("autotune", "evictions", memo.put(key, result))
-    return result
 
 
 def _degraded_autotune_result(

@@ -33,12 +33,11 @@ Two engines share that contract:
   constraint one vectorized predicate, the order read off packed
   integer keys.
 
-:func:`search_mapping` is the staged, memoized pipeline over both: memo
-lookup, then the engine the constraint set admits.  When every
-constraint has a batch predicate the vectorized engine runs; otherwise,
-or when a predicate declines at runtime, the exhaustive loop runs under
-the label ``reference-fallback``.  Both engines return byte-identical
-results.
+:func:`search_mapping` is the staged pipeline over both: it runs the
+engine the constraint set admits.  When every constraint has a batch
+predicate the vectorized engine runs; otherwise, or when a predicate
+declines at runtime, the exhaustive loop runs under the label
+``reference-fallback``.  Both engines return byte-identical results.
 
 Equivalence rests on the vectorized engine accounting for candidates in
 the reference's enumeration order.  Dimension permutations are
@@ -52,17 +51,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..config import BLOCK_SIZE_CANDIDATES, MAX_BLOCK_SIZE
-from ..errors import ReproError, SearchError
+from ..errors import SearchError
 from ..observability import get_metrics, instrumented_stage
 from ..resilience.budget import Budget
-from ..resilience.faults import maybe_inject
-from .cache import count_memo, get_search_cache, search_cache_key
 from .constraints import ConstraintSet
 from .dop import DopWindow, control_dop
 from .mapping import (
@@ -73,10 +69,9 @@ from .mapping import (
     Span,
     SpanAll,
     SpanType,
-    seq_level,
     span_code,
 )
-from .scoring import ScoredMapping, hard_feasible, score_mapping
+from .scoring import ScoredMapping, score_mapping
 
 
 #: How many ranked candidates every search result carries.
@@ -134,8 +129,6 @@ class SearchResult:
     #: Candidates the search gave up on without evaluating them (the
     #: budget-exhausted fallback).
     candidates_skipped: int = 0
-    #: True when this result was served from the cross-sweep memo.
-    cache_hit: bool = False
     #: Wall time of the search that produced this result.
     elapsed_ms: float = 0.0
     #: True when the search gave up and returned the conservative
@@ -158,7 +151,6 @@ class SearchResult:
         """
         return {
             "strategy": self.strategy,
-            "cache_hit": self.cache_hit,
             "candidates_total": self.candidates_total,
             "candidates_feasible": self.candidates_feasible,
             "candidates_scored": self.candidates_scored,
@@ -344,62 +336,18 @@ def _fallback_result(
     )
 
 
-def _corrupt_memo_hit(hit: SearchResult, kind: str) -> SearchResult:
-    """Apply an injected memo fault to a cache hit (test-only path).
-
-    ``corrupt`` destroys the mapping outright; ``stale`` models an entry
-    recorded for a different nest depth (one extra sequential level).
-    """
-    if kind == "stale":
-        try:
-            return replace(
-                hit, mapping=Mapping(hit.mapping.levels + (seq_level(),))
-            )
-        except ReproError:  # pragma: no cover - Seq levels always append
-            pass
-    return replace(hit, mapping=None)
-
-
-def _valid_memo_hit(
-    hit: object,
-    num_levels: int,
-    cset: ConstraintSet,
-    sizes_t: Tuple[int, ...],
-) -> bool:
-    """Is this cache hit structurally sound for the current query?
-
-    The memo is trusted but verified: a corrupted or stale entry must
-    cost one request a recomputation, never a wrong or infeasible
-    mapping.
-    """
-    if not isinstance(hit, SearchResult):
-        return False
-    mapping = hit.mapping
-    if not isinstance(mapping, Mapping):
-        return False
-    if len(mapping.levels) != num_levels:
-        return False
-    if not math.isfinite(hit.score):
-        return False
-    return hard_feasible(mapping, cset, sizes_t)
-
-
 def _record_search_metrics(result: SearchResult) -> None:
     """Publish one search's telemetry into the metrics registry.
 
     Consumes :meth:`SearchResult.telemetry` — the same dict the
     ``--explain`` rendering uses — so the counters exist in exactly one
-    shape.  Cache hits only bump the served counter: their work counters
-    describe the original search, which already reported itself.
+    shape.
     """
     metrics = get_metrics()
     if not metrics.enabled:
         return
     data = result.telemetry()
     metrics.counter("search.runs").inc()
-    if data["cache_hit"]:
-        metrics.counter("search.cache.served").inc()
-        return
     metrics.counter("search.candidates.total").inc(data["candidates_total"])
     metrics.counter("search.candidates.feasible").inc(
         data["candidates_feasible"]
@@ -461,15 +409,14 @@ def search_mapping(
     window: Optional[DopWindow] = None,
     block_sizes: Sequence[int] = BLOCK_SIZE_CANDIDATES,
     keep_all: bool = False,
-    use_cache: bool = True,
     budget: Optional[Budget] = None,
 ) -> SearchResult:
     """Run Algorithm 1 and return the selected mapping.
 
-    This is the staged pipeline: memo lookup, then the vectorized batch
-    engine, or the exhaustive loop when a constraint has no batch
-    predicate.  Results are byte-identical to
-    :func:`search_mapping_reference` whichever engine runs (asserted by
+    This is the staged pipeline: the vectorized batch engine, or the
+    exhaustive loop when a constraint has no batch predicate.  Results
+    are byte-identical to :func:`search_mapping_reference` whichever
+    engine runs (asserted by
     ``tests/analysis/test_search_equivalence.py`` and
     ``tests/analysis/test_search_engines.py``).
 
@@ -480,7 +427,6 @@ def search_mapping(
         window: device DOP window for ControlDOP (defaults to K20c's).
         keep_all: retain every feasible candidate with its score
             (needed by the score-vs-performance experiment).
-        use_cache: serve/record the cross-sweep memo.
         budget: optional node/deadline budget; on exhaustion the search
             returns the conservative fallback mapping (``degraded=True``)
             instead of raising.
@@ -502,49 +448,20 @@ def search_mapping(
         if budget is not None:
             budget.start()
 
-        memo = get_search_cache() if use_cache else None
-        key = None
-        if memo is not None:
-            key = search_cache_key(
-                cset, num_levels, sizes_t, block_sizes, window, keep_all,
-            )
-            try:
-                hit = memo.get(key)
-                count_memo("search", "misses" if hit is None else "hits")
-                fault = maybe_inject("memo")
-                if fault is not None and hit is not None:
-                    hit = _corrupt_memo_hit(hit, fault.kind)
-            except ReproError:
-                # A failing memo costs this request a recomputation, nothing
-                # more: treat the lookup as a miss.
-                hit = None
-            if hit is not None:
-                if _valid_memo_hit(hit, num_levels, cset, sizes_t):
-                    result = replace(hit, cache_hit=True)
-                    span.set(**result.telemetry())
-                    _record_search_metrics(result)
-                    return result
-                # Corrupt or stale entry: discard it and recompute.
-                count_memo("search", "invalidations", memo.pop(key))
-
-        result = _search_fresh(
+        result = _search_engines(
             num_levels, cset, sizes_t, window, block_sizes, keep_all, budget,
         )
-        # The one and only elapsed_ms assignment for a fresh result:
+        # The one and only elapsed_ms assignment:
         # vectorized, reference-fallback, and budget-degraded paths all
         # flow through here, so a budget-exhausted search reports the
         # true wall time of this call exactly once.
         result.elapsed_ms = (time.perf_counter() - start) * 1e3
-        if memo is not None and key is not None and not result.degraded:
-            # Degraded results are a budget artifact, not the true answer
-            # for this key; caching them would poison budget-free callers.
-            count_memo("search", "evictions", memo.put(key, result))
         span.set(**result.telemetry())
     _record_search_metrics(result)
     return result
 
 
-def _search_fresh(
+def _search_engines(
     num_levels: int,
     cset: ConstraintSet,
     sizes_t: Tuple[int, ...],
@@ -553,8 +470,8 @@ def _search_fresh(
     keep_all: bool,
     budget: Optional[Budget],
 ) -> SearchResult:
-    """The uncached search body.  Leaves ``elapsed_ms`` unset — the
-    caller stamps it once, whichever path produced the result."""
+    """The search body.  Leaves ``elapsed_ms`` unset — the caller
+    stamps it once, whichever path produced the result."""
     from .vectorized import BatchUnsupported, _search_vectorized
 
     if budget is not None and budget.exhausted():

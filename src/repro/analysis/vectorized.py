@@ -323,15 +323,14 @@ class _CandidateStructure:
     forced Span(all) levels)`` — constraint *values* (weights, which
     soft constraints exist) never enter, so one structure serves every
     search over the same shape.  ``shared`` is the lazy-expansion cache
-    handed to every batch built from this structure; ``dop_memo`` caches
-    the per-(grid row, span combo) DOP table for the 8 most recently used
-    analysis-size tuples.  Concurrent searches share both.
+    handed to every batch built from this structure; concurrent
+    searches share it.
     """
 
     __slots__ = (
         "num_levels", "perm_table", "grid_table", "span_table",
         "base_perm_ids", "base_size_ids", "span_combos", "span_tile",
-        "grid_codes", "shared", "dop_memo",
+        "grid_codes", "shared",
     )
 
     def __init__(
@@ -390,7 +389,6 @@ class _CandidateStructure:
         ).reshape(self.span_tile, num_levels)
         self.grid_codes = _grid_codes(grid_table, block_sizes)
         self.shared: dict = {}
-        self.dop_memo = LRUCache(8)
 
     def batch(self, sizes: Tuple[int, ...]) -> CandidateBatch:
         """A batch over this structure at the given analysis sizes.
@@ -600,16 +598,6 @@ def _dop_table(
     return keys, len(values), pair_dops[inverse].reshape(shape)
 
 
-def _dop_table_cached(
-    struct: _CandidateStructure, sizes_t: Tuple[int, ...]
-) -> Tuple[np.ndarray, int, np.ndarray]:
-    cached = struct.dop_memo.get(sizes_t)
-    if cached is None:
-        cached = _dop_table(struct, sizes_t)
-        struct.dop_memo.put(sizes_t, cached)
-    return cached
-
-
 def _key_bits(n_scores: int, dop_bound: int, code_bound: int):
     """Bit widths for the packed ranking key, or None on overflow."""
     dop_bits = max(1, int(dop_bound).bit_length())
@@ -778,7 +766,7 @@ def search_mapping_vectorized(
     Byte-identical to :func:`search_mapping_reference`; raises
     :class:`BatchUnsupported` when a constraint has no batch predicate.
     Most callers want :func:`~repro.analysis.search.search_mapping`,
-    which memoizes and runs the exhaustive loop for such sets.
+    which runs the exhaustive loop for such sets.
     """
     from .search import (
         _BudgetStop,
@@ -869,7 +857,7 @@ def _search_vectorized(
     )
     base_only_scores = not soft_combo and not soft_full
 
-    dop_table, dop_bound, dop_exact = _dop_table_cached(struct, sizes_t)
+    dop_table, dop_bound, dop_exact = _dop_table(struct, sizes_t)
     code_bound = (len(block_sizes) + 1) ** num_levels
 
     state: Optional[np.ndarray] = None  # per-feasible-row state ids

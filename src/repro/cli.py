@@ -31,7 +31,7 @@ Commands
     and optionally the mapping-provenance artifact.
 ``stats [app] [k=v ...] [--json] [--url URL]``
     Compile an app with metrics on and print the registry snapshot:
-    cache hit rates, search counters, per-stage wall time, cost sums.
+    search counters, per-stage wall time, cost sums.
     With ``--url``, query a running compile server's ``/v1/stats``
     instead (queue depth, hit/miss counters, latency percentiles).
 ``explain FILE``

@@ -6,7 +6,6 @@ import sys
 from typing import Callable, Iterable, List, Optional
 
 from ..gpusim.device import GpuDevice, default_device
-from ..observability import capture
 from .registry import EXPERIMENTS
 from .tables import ExperimentResult
 
@@ -26,26 +25,6 @@ def run_experiment(
 def run_all(device: Optional[GpuDevice] = None) -> List[ExperimentResult]:
     """Run every experiment in registry order."""
     return [run_experiment(eid, device) for eid in EXPERIMENTS]
-
-
-def search_cache_summary(metrics) -> str:
-    """One line on how much the experiment sweeps reused memoized searches,
-    read from the ``cache.search.*`` counters of ``metrics`` (the registry
-    of the :func:`~repro.observability.capture` the sweeps ran under).
-
-    Figure sweeps re-analyze the same kernels across many shapes, so the
-    hit rate here is the cross-sweep payoff of the search memo.
-    """
-    from ..analysis.cache import get_search_cache
-
-    hits = int(metrics.counter("cache.search.hits").value)
-    misses = int(metrics.counter("cache.search.misses").value)
-    rate = hits / (hits + misses) if hits + misses else 0.0
-    return (
-        f"search cache: {hits} hits / {misses} misses "
-        f"({100.0 * rate:.0f}% hit rate, "
-        f"{len(get_search_cache())} entries)"
-    )
 
 
 #: Per-experiment commentary for EXPERIMENTS.md: what the paper reports and
@@ -216,10 +195,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     """CLI: ``python -m repro.figures [fig3 fig12 ...]`` (default: all)."""
     args = list(argv if argv is not None else sys.argv[1:])
     ids = args or list(EXPERIMENTS)
-    with capture() as observation:
-        for eid in ids:
-            result = run_experiment(eid)
-            print(result.render())
-            print()
-    print(search_cache_summary(observation.metrics))
+    for eid in ids:
+        result = run_experiment(eid)
+        print(result.render())
+        print()
     return 0

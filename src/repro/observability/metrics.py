@@ -1,10 +1,10 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The registry is the single home for pipeline statistics that used to be
-scattered across ad-hoc fields: memo-cache hits/misses/evictions,
-search candidate counts and engine labels, constraint counts by
-Hard/Soft x Local/Global class, fallback and retry activations, per-stage
-wall time, and cost-model component sums.
+scattered across ad-hoc fields: search candidate counts and engine
+labels, constraint counts by Hard/Soft x Local/Global class, fallback
+and retry activations, per-stage wall time, and cost-model component
+sums.
 
 Histogram buckets are fixed and deterministic (supplied at creation,
 never derived from the data), so two snapshots of the same workload are

@@ -208,10 +208,8 @@ class KernelProvenance:
 
 def _telemetry_lines(data: Dict[str, Any]) -> List[str]:
     """Human-readable lines for a :meth:`SearchResult.telemetry` dict."""
-    cached = bool(data.get("cache_hit"))
     lines = [
-        f"strategy: {data.get('strategy')}"
-        + (" (served from cache)" if cached else ""),
+        f"strategy: {data.get('strategy')}",
         (
             f"candidates: {data.get('candidates_total')} enumerated, "
             f"{data.get('candidates_feasible')} feasible"
@@ -220,8 +218,7 @@ def _telemetry_lines(data: Dict[str, Any]) -> List[str]:
             f"work: {data.get('candidates_scored')} scored, "
             f"{data.get('candidates_skipped')} skipped"
         ),
-        f"wall time: {data.get('elapsed_ms', 0.0):.3g} ms"
-        + (" (original search; cache lookup was ~free)" if cached else ""),
+        f"wall time: {data.get('elapsed_ms', 0.0):.3g} ms",
     ]
     if data.get("batch_shape"):
         rows, axes = data["batch_shape"]

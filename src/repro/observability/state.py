@@ -102,7 +102,7 @@ class StageScope:
     usual); ``fault`` is whatever
     :func:`repro.resilience.faults.maybe_inject` returned — ``None``
     almost always, or the data-shaped fault spec the stage must apply
-    itself (memo corruption, cost poisoning).
+    itself (a deadline overrun, cost poisoning).
     """
 
     span: object

@@ -189,16 +189,14 @@ def run_chaos_matrix(
     """Run every (stage, kind) pair against one program.
 
     The reference result comes from the loop interpreter with no faults
-    installed; a warm-up compile populates the search memo so the memo
-    corruption/staleness cells exercise a real cache hit.  ``sizes``
-    overrides the program's size hints (chaos coverage does not need
-    production shapes, and the reference interpreter is a scalar loop).
+    installed.  ``sizes`` overrides the program's size hints (chaos
+    coverage does not need production shapes, and the reference
+    interpreter is a scalar loop).
     """
     import dataclasses
 
     from ..difftest.oracle import make_inputs
     from ..interp.evaluator import run_program
-    from ..runtime.session import GpuSession
 
     if sizes:
         program = dataclasses.replace(
@@ -211,9 +209,6 @@ def run_chaos_matrix(
     inputs = make_inputs(program, seed=seed)
     ref_inputs = copy.deepcopy(inputs)
     expected = run_program(program, seed=seed, **ref_inputs)
-
-    # Warm-up: populate the cross-sweep memo (no faults installed).
-    GpuSession(strategy=strategy).compile(program)
 
     result = ChaosMatrixResult()
     for stage, kind in pairs or FAULT_MATRIX:

@@ -20,8 +20,6 @@ Fault kinds
 kind        applicable stages             effect at the call site
 ========== ============================= ===========================
 exception   every stage                   raises ``InjectedFaultError``
-corrupt     memo                          memo hit replaced by garbage
-stale       memo                          memo hit from a different key
 nan         simulator                     cost model returns NaN
 inf         simulator                     cost model returns +inf
 deadline    search                        search budget expires now
@@ -33,7 +31,8 @@ partition   fleet                         transport error for a window
 
 ``exception`` is raised directly by :func:`maybe_inject`; the data-shaped
 kinds are *returned* to the call site, which applies the corruption it
-models (the cache corrupts its hit, the cost model poisons its result).
+models (the cost model poisons its result, the search expires its
+budget).
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
 PIPELINE_STAGES = (
     "analysis",
     "search",
-    "memo",
     "optimizer",
     "codegen",
     "simulator",
@@ -82,15 +80,12 @@ STAGES = PIPELINE_STAGES + ("fleet",)
 FLEET_FAULT_KINDS = ("kill", "hang", "slow", "partition")
 
 #: All fault kinds.
-KINDS = (
-    "exception", "corrupt", "stale", "nan", "inf", "deadline",
-) + FLEET_FAULT_KINDS
+KINDS = ("exception", "nan", "inf", "deadline") + FLEET_FAULT_KINDS
 
 #: Which kinds make sense per stage ("exception" everywhere).
 _KINDS_FOR_STAGE: Dict[str, Tuple[str, ...]] = {
     "analysis": ("exception",),
     "search": ("exception", "deadline"),
-    "memo": ("exception", "corrupt", "stale"),
     "optimizer": ("exception",),
     "codegen": ("exception",),
     "simulator": ("exception", "nan", "inf"),

@@ -13,11 +13,10 @@ single-flight join, bounded queue) and adds only its own work::
       persist the artifact (the store files its recipe too) and hand on
         the body it wrote
 
-Three cache layers cooperate: the in-memory search memo
-(:mod:`repro.analysis.cache`, as long as the process lives) accelerates
-*similar* requests, the artifact store (:mod:`repro.service.store`)
-serves *identical* requests across restarts, and the single-flight
-table collapses *concurrent identical* requests into one pipeline run.
+Two cache layers cooperate: the artifact store
+(:mod:`repro.service.store`) serves *identical* requests across
+restarts, and the single-flight table collapses *concurrent identical*
+requests into one pipeline run.
 The cache dir holds only the store's verified objects.
 
 Every count lives once, in the service's own registry
@@ -53,7 +52,7 @@ class ServiceConfig:
     workers: int = _config.DEFAULT_SERVICE_WORKERS
     queue_limit: int = _config.DEFAULT_SERVICE_QUEUE_LIMIT
     #: Root of the persistent artifact store; ``None`` disables
-    #: persistence (in-flight dedup and the search memo still apply).
+    #: persistence (in-flight dedup still applies).
     cache_dir: Optional[str] = None
     #: Per-request search budget (conservative fallback on exhaustion).
     deadline_s: Optional[float] = _config.DEFAULT_REQUEST_DEADLINE_S

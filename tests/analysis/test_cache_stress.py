@@ -1,23 +1,39 @@
-"""Invalidation and concurrency for the one bounded memo.
+"""The process's memos: what they share and what they do not keep.
 
 Every in-process memo is an :class:`~repro.analysis.cache.LRUCache`
 shared by concurrent searches and requests.  These pin its contract
 under contention: ``pop`` tells a stored ``None`` from an absent key, no
 ``RuntimeError: dictionary changed size during iteration``, no
-deadlock, and no overflow past ``capacity``.
+deadlock, and no overflow past ``capacity``.  Concurrent searches share
+one candidate structure, and no search result outlives its caller.
 """
 
+import gc
 import sys
 import threading
+import weakref
 
+from repro.analysis import analyze_program, autotune_mapping
 from repro.analysis.cache import LRUCache
-from repro.analysis.constraints import ConstraintSet
-from repro.analysis.search import span_options_for_levels
-from repro.analysis.vectorized import _CandidateStructure, _dop_table_cached
+from repro.analysis.search import _effective_block_sizes, search_mapping
+from repro.analysis.vectorized import _structure_for, clear_batch_memo
 from repro.config import BLOCK_SIZE_CANDIDATES
+from repro.gpusim import TESLA_K20C
 
 
 class TestCacheBasics:
+    def test_lru_eviction(self):
+        cache = LRUCache(2)
+        cache.put(("a",), 1)
+        cache.put(("b",), 2)
+        assert cache.get(("a",)) == 1  # refreshes "a"
+        # Evicts "b", the least recently used.
+        assert cache.put(("c",), 3) == 1
+        assert cache.get(("b",)) is None
+        assert cache.get(("a",)) == 1
+        assert cache.get(("c",)) == 3
+        assert len(cache) == 2
+
     def test_invalidate_present_and_absent(self):
         cache = LRUCache(8)
         cache.put(("k",), 1)
@@ -96,27 +112,50 @@ class TestCacheStress:
         assert len(cache) <= cache.capacity
 
 
-class TestDopMemoRace:
+class TestSharedStructureRace:
     """Concurrent searches over one candidate structure (a multi-worker
-    ``repro serve``, or two in-process fleet backends) share its DOP
-    memo."""
+    ``repro serve``, or two in-process fleet backends) share its lazy
+    ``shared`` expansions."""
 
     THREADS = 4
-    CALLS = 500
+    CALLS = 25
 
-    def test_concurrent_dop_tables_on_one_structure(self):
-        struct = _CandidateStructure(
-            2,
-            tuple(BLOCK_SIZE_CANDIDATES),
-            span_options_for_levels(ConstraintSet(), 2),
-        )
+    def test_concurrent_searches_on_one_structure(self, sum_rows_program):
+        ka = analyze_program(sum_rows_program, R=256, C=256).kernel(0)
+        grid = _effective_block_sizes(ka.depth, BLOCK_SIZE_CANDIDATES)
+
+        def sizes(worker: int, i: int):
+            # Every call has its own sizes.
+            return (64 + worker, 64 + i)
+
+        def summary(result):
+            return (
+                result.mapping, result.score, result.dop,
+                result.candidates_total, result.candidates_feasible,
+                result.ranked, result.strategy,
+            )
+
+        serial = {
+            (w, i): summary(
+                search_mapping(ka.depth, ka.constraints, sizes(w, i))
+            )
+            for w in range(self.THREADS)
+            for i in range(self.CALLS)
+        }
+        # Start from an empty structure so the threads race to build its
+        # expansions.
+        clear_batch_memo()
+        struct = _structure_for(ka.depth, ka.constraints, grid)
+        assert not struct.shared
+        results = {}
         errors = []
 
         def search(worker: int) -> None:
             try:
                 for i in range(self.CALLS):
-                    # Every call has its own sizes: a miss that evicts.
-                    _dop_table_cached(struct, (64 + worker, 64 + i))
+                    results[(worker, i)] = summary(search_mapping(
+                        ka.depth, ka.constraints, sizes(worker, i)
+                    ))
             except Exception as exc:  # noqa: BLE001 - the test's whole point
                 errors.append(exc)
 
@@ -134,5 +173,23 @@ class TestDopMemoRace:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads), "deadlocked"
-        assert not errors, f"concurrent DOP tables raised: {errors[:3]}"
-        assert len(struct.dop_memo) <= 8
+        assert not errors, f"concurrent searches raised: {errors[:3]}"
+        assert _structure_for(ka.depth, ka.constraints, grid) is struct
+        assert struct.shared, "the searches did not share the expansions"
+        assert results == serial
+
+
+class TestNothingOutlivesTheCompile:
+    """Each kernel's search runs once per compile; no process-wide memo
+    keeps its result (or the auto-tuner's) alive afterwards."""
+
+    def test_search_and_autotune_results_are_collected(
+        self, sum_rows_program
+    ):
+        ka = analyze_program(sum_rows_program, R=256, C=256).kernel(0)
+        search = ka.select_mapping()
+        tuned = autotune_mapping(ka, TESLA_K20C, block_sizes=(32, 64))
+        refs = [weakref.ref(search), weakref.ref(tuned)]
+        del search, tuned
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

@@ -120,9 +120,7 @@ class TestSearch:
     def test_deterministic_given_seed(self, sum_rows_program):
         ka = analyze_program(sum_rows_program, R=1024, C=1024).kernel(0)
         a = search_mapping(ka.depth, ka.constraints, ka.level_sizes())
-        b = search_mapping(
-            ka.depth, ka.constraints, ka.level_sizes(), use_cache=False
-        )
+        b = search_mapping(ka.depth, ka.constraints, ka.level_sizes())
         assert a.mapping == b.mapping
 
     def test_keep_all_collects_candidates(self, sum_rows_program):

@@ -94,7 +94,7 @@ def _check_kernel_across_engines(ka, context):
     # degrade.
     vec = search_mapping_vectorized(*args, keep_all=True)
     _assert_byte_identical(ref, vec, f"{context} [vectorized]")
-    staged = search_mapping(*args, keep_all=True, use_cache=False)
+    staged = search_mapping(*args, keep_all=True)
     assert staged.strategy == "vectorized", context
     _assert_byte_identical(ref, staged, f"{context} [search_mapping]")
 
@@ -237,7 +237,7 @@ def test_overflowing_dop_runs_vectorized(name):
     ka = OVERFLOW_PROGRAMS[name]().kernel(0)
     args = (ka.depth, ka.constraints, ka.level_sizes())
     ref = search_mapping_reference(*args, keep_all=True)
-    result = search_mapping(*args, keep_all=True, use_cache=False)
+    result = search_mapping(*args, keep_all=True)
     assert result.strategy == "vectorized"
     _assert_byte_identical(ref, result, name)
     _assert_ranked_from_keep_all(ref, *args[1:], name)
@@ -269,18 +269,18 @@ def test_engine_follows_constraint_set():
     """Batch predicates on every constraint -> vectorized, whatever the
     size of the space; any constraint without one -> reference-fallback."""
     for depth, cset, sizes in (_small_space_inputs(), _large_space_inputs()):
-        result = search_mapping(depth, cset, sizes, use_cache=False)
+        result = search_mapping(depth, cset, sizes)
         assert result.strategy == "vectorized"
         assert result.batch_shape == (result.candidates_total, depth)
         cset.add(_Opaque(False, "global", "opaque"))
-        result = search_mapping(depth, cset, sizes, use_cache=False)
+        result = search_mapping(depth, cset, sizes)
         assert result.strategy == "reference-fallback"
         assert result.batch_shape is None
 
 
 def test_auto_selects_vectorized_for_large_spaces():
     depth, cset, sizes = _large_space_inputs()
-    result = search_mapping(depth, cset, sizes, use_cache=False)
+    result = search_mapping(depth, cset, sizes)
     assert result.strategy == "vectorized"
     assert result.batch_shape == (result.candidates_total, depth)
 
@@ -293,7 +293,7 @@ def test_opaque_constraint_falls_back():
         search_mapping_vectorized(depth, cset, sizes)
     # Opaque constraints need per-candidate evaluation: the search runs
     # the exhaustive loop, byte-identical to the reference.
-    result = search_mapping(depth, cset, sizes, use_cache=False)
+    result = search_mapping(depth, cset, sizes)
     assert result.strategy == "reference-fallback"
     ref = search_mapping_reference(depth, cset, sizes)
     assert str(result.mapping) == str(ref.mapping)
@@ -306,7 +306,7 @@ def test_batch_telemetry_recorded():
 
     depth, cset, sizes = _large_space_inputs()
     with capture() as obs:
-        result = search_mapping(depth, cset, sizes, use_cache=False)
+        result = search_mapping(depth, cset, sizes)
     data = result.telemetry()
     assert data["strategy"] == "vectorized"
     assert data["batch_shape"] == [result.candidates_total, depth]

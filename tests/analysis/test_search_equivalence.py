@@ -1,9 +1,9 @@
 """Equivalence of the staged search against the exhaustive reference.
 
-The vectorized engine and the memo are pure performance work: for any
-constraint set they must select the *byte-identical* winner — same
-mapping, same score, same DOP, same candidate counts — because the
-figure experiments and codegen snapshots depend on the exact choice
+The vectorized engine is pure performance work: for any constraint
+set it must select the *byte-identical* winner — same mapping, same
+score, same DOP, same candidate counts — because the figure
+experiments and codegen snapshots depend on the exact choice
 (including the order among tied candidates).  These tests compare
 ``search_mapping`` against the reference across randomized constraint
 sets at depths 1-4 and over every bundled application kernel.
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.analysis import analyze_program, clear_caches
+from repro.analysis import analyze_program
 from repro.analysis.constraints import (
     AvoidDivergence,
     BlockSizeFloor,
@@ -105,11 +105,11 @@ def test_randomized_equivalence(depth, trial_seed):
         except SearchError:
             with pytest.raises(SearchError):
                 search_mapping(
-                    depth, cset, sizes, block_sizes=grid, use_cache=False,
+                    depth, cset, sizes, block_sizes=grid,
                 )
             continue
         new = search_mapping(
-            depth, cset, sizes, block_sizes=grid, use_cache=False,
+            depth, cset, sizes, block_sizes=grid,
         )
         assert_equivalent(ref, new, context)
 
@@ -130,7 +130,6 @@ def test_keep_all_equivalence(depth):
             continue
         new = search_mapping(
             depth, cset, sizes, block_sizes=grid, keep_all=True,
-            use_cache=False,
         )
         assert_equivalent(ref, new, f"depth={depth} trial={trial}")
         assert new.all_scored == ref.all_scored
@@ -144,23 +143,10 @@ def test_all_apps_equivalence():
         for index, ka in enumerate(pa.kernels):
             args = (ka.depth, ka.constraints, ka.level_sizes())
             ref = search_mapping_reference(*args)
-            new = search_mapping(*args, use_cache=False)
+            new = search_mapping(*args)
             assert_equivalent(ref, new, f"{name} kernel {index}")
             checked += 1
     assert checked >= len(ALL_APPS)
-
-
-def test_cached_result_identical():
-    """A memo hit returns the same result (flagged as a hit)."""
-    app = ALL_APPS["msmbuilder"]
-    ka = analyze_program(app.build(), **merge_params(app, {})).kernel(0)
-    clear_caches()
-    first = ka.select_mapping()
-    second = ka.select_mapping()
-    assert not first.cache_hit and second.cache_hit
-    assert second.mapping == first.mapping
-    assert second.score == first.score
-    assert second.candidates_total == first.candidates_total
 
 
 def test_warp_eval_matches_mapping():

@@ -42,9 +42,7 @@ def test_depth3_search_within_budget():
     ka = _depth3_kernel()
 
     start = time.perf_counter()
-    result = search_mapping(
-        ka.depth, ka.constraints, ka.level_sizes(), use_cache=False
-    )
+    result = search_mapping(ka.depth, ka.constraints, ka.level_sizes())
     elapsed = time.perf_counter() - start
 
     # Every built-in constraint has a batch predicate, so the
@@ -101,14 +99,15 @@ def test_vectorized_beats_reference():
     args = (ka.depth, ka.constraints, ka.level_sizes())
 
     # The reference is timed once (it runs for hundreds of ms); the
-    # vectorized engine best of three, which also warms its memo.
+    # vectorized engine best of three, which also warms its structure
+    # memo.
     start = time.perf_counter()
     ref = search_mapping_reference(*args, block_sizes=grid)
     ref_time = time.perf_counter() - start
     vec_time = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        vec = search_mapping(*args, block_sizes=grid, use_cache=False)
+        vec = search_mapping(*args, block_sizes=grid)
         vec_time = min(vec_time, time.perf_counter() - start)
 
     assert vec.strategy == "vectorized"

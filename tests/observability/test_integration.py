@@ -56,7 +56,6 @@ class TestPipelineCoverage:
         assert counters["compile.runs"] == 1
         assert counters["search.runs"] >= 1
         assert counters["simulate.kernels"] >= 1
-        assert counters["cache.search.misses"] >= 1
         # Constraint taxonomy counts (Hard/Soft x scope) are recorded.
         assert any(k.startswith("constraints.hard.") for k in counters)
         assert any(k.startswith("constraints.soft.") for k in counters)
@@ -65,22 +64,14 @@ class TestPipelineCoverage:
         # Per-stage wall time lands in stage_ms.* histograms.
         assert snap["histograms"]["stage_ms.compile"]["count"] == 1
 
-    def test_cache_hit_counted_on_second_search(self, sum_cols_program):
-        with capture() as obs:
-            GpuSession().compile(sum_cols_program, R=32, C=32)
-            GpuSession().compile(sum_cols_program, R=32, C=32)
-        counters = obs.metrics.to_dict()["counters"]
-        assert counters["cache.search.hits"] >= 1
-        assert counters["search.cache.served"] >= 1
-
 
 class TestSearchEquivalenceUnderTracing:
     def test_tracing_does_not_change_the_result(self):
         cset = ConstraintSet()
         sizes = (64, 64)
-        baseline = search_mapping(2, cset, sizes, use_cache=False)
+        baseline = search_mapping(2, cset, sizes)
         with capture():
-            traced = search_mapping(2, cset, sizes, use_cache=False)
+            traced = search_mapping(2, cset, sizes)
         assert traced.mapping == baseline.mapping
         assert traced.score == baseline.score
         assert traced.candidates_scored == baseline.candidates_scored
@@ -94,23 +85,16 @@ class TestElapsedReporting:
         time of the attempt."""
         cset = ConstraintSet()
         result = search_mapping(
-            3, cset, (32, 32, 32), use_cache=False,
-            budget=Budget(max_nodes=50),
+            3, cset, (32, 32, 32), budget=Budget(max_nodes=50)
         )
         assert result.degraded
         assert result.elapsed_ms > 0.0
         assert result.telemetry()["elapsed_ms"] == result.elapsed_ms
 
-    def test_cache_hit_preserves_original_elapsed(self, sum_cols_program):
-        first = search_mapping(2, ConstraintSet(), (64, 64))
-        second = search_mapping(2, ConstraintSet(), (64, 64))
-        assert second.cache_hit
-        assert second.elapsed_ms == first.elapsed_ms
-
     def test_telemetry_is_single_source_for_explain(self):
         from repro.observability.provenance import KernelProvenance
 
-        result = search_mapping(2, ConstraintSet(), (32, 32), use_cache=False)
+        result = search_mapping(2, ConstraintSet(), (32, 32))
         data = result.telemetry()
         record = KernelProvenance(
             index=0, depth=2, level_sizes=[32, 32], mapping=str(result.mapping),

@@ -112,11 +112,6 @@ class TestBuildProvenance:
         )
 
     def test_degraded_search_notes_fallback(self, sum_cols_program):
-        from repro.analysis.cache import clear_caches
-
-        # A warm memo would serve the full-search answer and bypass the
-        # budget entirely, so start this compile from a cold cache.
-        clear_caches()
         compiled = GpuSession(budget=Budget(max_nodes=3)).compile(
             sum_cols_program, R=128, C=128
         )

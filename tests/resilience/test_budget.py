@@ -88,7 +88,7 @@ class TestBudgetedSearch:
         cset = ConstraintSet()
         sizes = (32, 32, 32)
         result = search_mapping(
-            3, cset, sizes, use_cache=False, budget=Budget(max_nodes=50)
+            3, cset, sizes, budget=Budget(max_nodes=50)
         )
         assert result.degraded
         assert result.strategy == "fallback"
@@ -103,7 +103,7 @@ class TestBudgetedSearch:
         sizes = (16, 16, 16, 16)
         start = time.perf_counter()
         result = search_mapping(
-            4, cset, sizes, use_cache=False, budget=Budget(max_nodes=100)
+            4, cset, sizes, budget=Budget(max_nodes=100)
         )
         elapsed = time.perf_counter() - start
         assert result.degraded
@@ -116,10 +116,9 @@ class TestBudgetedSearch:
     def test_ample_budget_matches_unbudgeted_search(self):
         cset = ConstraintSet()
         sizes = (64, 64)
-        unbudgeted = search_mapping(2, cset, sizes, use_cache=False)
+        unbudgeted = search_mapping(2, cset, sizes)
         budgeted = search_mapping(
-            2, cset, sizes, use_cache=False,
-            budget=Budget(max_nodes=10_000_000),
+            2, cset, sizes, budget=Budget(max_nodes=10_000_000)
         )
         assert not budgeted.degraded
         assert budgeted.mapping == unbudgeted.mapping
@@ -135,16 +134,11 @@ class TestBudgetedSearch:
         assert hard_feasible(result.mapping, cset, sizes)
 
     def test_degraded_result_not_cached(self):
-        from repro.analysis.cache import clear_caches, get_search_cache
-
-        clear_caches()
         cset = ConstraintSet()
         sizes = (32, 32, 32)
         degraded = search_mapping(
             3, cset, sizes, budget=Budget(max_nodes=10)
         )
         assert degraded.degraded
-        assert len(get_search_cache()) == 0
         full = search_mapping(3, cset, sizes)
         assert not full.degraded
-        clear_caches()

@@ -27,7 +27,7 @@ class TestChaosMatrix:
             sum_rows_program, sizes={"R": 12, "C": 8}
         )
         outcomes = {c.outcome for c in result.cells}
-        # Some stages degrade (search, optimizer, memo), some escape as
+        # Some stages degrade (search, optimizer), some escape as
         # typed reported errors (analysis, codegen, interpreter, ...).
         assert "degraded" in outcomes
         assert "typed-error" in outcomes

@@ -27,7 +27,7 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(stage="analysis", kind="nan")
         with pytest.raises(ValueError):
-            FaultSpec(stage="simulator", kind="corrupt")
+            FaultSpec(stage="simulator", kind="deadline")
 
     def test_fires_at_window(self):
         spec = FaultSpec(stage="search", at=2, times=2)
@@ -41,7 +41,7 @@ class TestFaultSpec:
         assert all(spec.fires_at(i) for i in range(3, 50))
 
     def test_round_trip(self):
-        spec = FaultSpec(stage="memo", kind="stale", at=4, times=2)
+        spec = FaultSpec(stage="simulator", kind="nan", at=4, times=2)
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -84,10 +84,10 @@ class TestFaultPlan:
         assert plan.fired == [("analysis", "exception", 1)]
 
     def test_data_kind_returned_not_raised(self):
-        plan = FaultPlan.single("memo", "corrupt")
+        plan = FaultPlan.single("simulator", "nan")
         with inject_faults(plan):
-            spec = maybe_inject("memo")
-        assert spec is not None and spec.kind == "corrupt"
+            spec = maybe_inject("simulator")
+        assert spec is not None and spec.kind == "nan"
 
     def test_fires_on_nth_invocation_only(self):
         plan = FaultPlan.single("search", "deadline", at=3)
@@ -140,6 +140,6 @@ class TestFaultPlan:
         assert clone.seed == plan.seed
 
     def test_describe_lists_specs(self):
-        plan = FaultPlan.single("memo", "stale", at=2)
-        assert "memo/stale@2" in plan.describe()
+        plan = FaultPlan.single("simulator", "nan", at=2)
+        assert "simulator/nan@2" in plan.describe()
         assert FaultPlan().describe() == "fault plan: empty"

@@ -21,7 +21,7 @@ from tests.conftest import make_sum_rows
 def kernel():
     ka = analyze_program(make_sum_rows(), R=256, C=256).kernel(0)
     mapping = search_mapping(
-        ka.depth, ka.constraints, ka.level_sizes(), use_cache=False
+        ka.depth, ka.constraints, ka.level_sizes()
     ).mapping
     return ka, mapping
 

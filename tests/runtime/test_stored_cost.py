@@ -85,9 +85,7 @@ def test_search_pick_within_slack_of_cheapest_tied_candidate():
         for index, decision in enumerate(compiled.decisions):
             ka = decision.analysis
             level_sizes = tuple(ka.level_sizes())
-            scored = ka.select_mapping(
-                window=window, keep_all=True, use_cache=False
-            ).all_scored
+            scored = ka.select_mapping(window=window, keep_all=True).all_scored
             top = max((c.score, c.dop) for c in scored)
             costs = []
             for candidate in scored:

@@ -512,6 +512,29 @@ class TestDigestMemo:
             request(R=64 + i, C=32).digest()
         assert len(_DIGEST_MEMO) <= _DIGEST_MEMO.capacity == 1024
 
+    def test_program_ir_key_is_a_sha256_hex(self, monkeypatch):
+        """An entry holds 64 characters, not the serialized program."""
+        from repro.analysis.cache import LRUCache
+        from repro.apps import ALL_APPS
+        from repro.service import api
+
+        class Recording(LRUCache):
+            def put(self, key, value):
+                keys.append(key)
+                return super().put(key, value)
+
+        keys = []
+        monkeypatch.setattr(api, "_DIGEST_MEMO", Recording(8))
+        sizes = {"R": 64, "C": 32}
+        program = ALL_APPS["sumRows"].build()
+        digest = api.request_for_program(program, sizes=sizes).digest()
+        (key,) = keys
+        assert len(key) == 64 and set(key) <= set("0123456789abcdef")
+        # A memo hit and the same program sent by name give that digest.
+        assert api.request_for_program(program, sizes=sizes).digest() == digest
+        assert request(**sizes).digest() == digest
+        assert len(keys) == 2
+
 
 class TestOneResolution:
     """A request resolves and canonicalizes once; the miss compiles the
