@@ -18,18 +18,13 @@ import threading
 from typing import Any, Hashable, Optional
 
 
-#: Sentinel distinguishing "absent" from a stored ``None``.
-_MISSING = object()
-
-
 class LRUCache:
     """The one bounded memo: a thread-safe LRU of at most ``capacity``
     entries (``0`` disables it: every lookup misses, nothing is kept).
 
-    It counts nothing.  :meth:`put` returns its evictions and
-    :meth:`pop` whether it dropped anything, so each owner counts what
-    it needs where it reads and writes.  Entries are shared with every
-    reader; callers must not mutate them.
+    It counts nothing.  :meth:`put` returns its evictions, so each owner
+    counts what it needs where it reads and writes.  Entries are shared
+    with every reader; callers must not mutate them.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -64,11 +59,6 @@ class LRUCache:
             self._entries.popitem(last=False)
             return 1
 
-    def pop(self, key: Hashable) -> bool:
-        """Drop ``key``; True if it was present (a stored ``None`` too)."""
-        with self._lock:
-            return self._entries.pop(key, _MISSING) is not _MISSING
-
     def clear(self) -> int:
         with self._lock:
             dropped = len(self._entries)
@@ -78,10 +68,6 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
 
 
 def clear_caches() -> None:

@@ -260,8 +260,6 @@ def cmd_difftest(args: argparse.Namespace) -> int:
             corpus=corpus or None,
             out_dir=args.out,
             progress=print if args.verbose else None,
-            checkpoint_path=args.checkpoint,
-            retries=args.retries,
         )
 
     if args.trace:
@@ -477,7 +475,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         cache_dir=cache_dir,
         deadline_s=args.deadline_s if args.deadline_s > 0 else None,
-        max_nodes=args.max_nodes,
     )
     import repro.apps  # noqa: F401 - load the app registry before serving
 
@@ -1336,11 +1333,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "artifact instead of running a campaign")
     p_dt.add_argument("-v", "--verbose", action="store_true",
                       help="print a line per checked program")
-    p_dt.add_argument("--checkpoint", default=None, metavar="FILE",
-                      help="resume/record campaign progress in this file")
-    p_dt.add_argument("--retries", type=int, default=0,
-                      help="retry a crashed check this many times with "
-                      "jittered backoff (default 0)")
     p_dt.add_argument("--trace", default=None, metavar="FILE",
                       help="record the campaign as a Chrome trace "
                       "artifact")
@@ -1445,8 +1437,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-request search deadline with conservative "
                       "fallback; <=0 disables "
                       f"(default {_config.DEFAULT_REQUEST_DEADLINE_S})")
-    p_sv.add_argument("--max-nodes", type=int, default=None,
-                      help="per-request search node budget")
     p_sv.add_argument("--trace", default=None, metavar="FILE",
                       help="write a Chrome trace of every request on "
                       "shutdown")

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..ir.printer import pretty_program
 from ..ir.serialize import program_to_dict
 from ..ir.traversal import find_patterns
-from ..resilience.retry import Checkpoint, retry_with_backoff
 from .generator import ProgramGenerator, build_program, canonical_specs
 from .oracle import OracleReport, check_spec
 from .shrinker import shrink_spec
@@ -164,9 +162,6 @@ def run_campaign(
     max_shrink_checks: int = 60,
     progress: Optional[Callable[[str], None]] = None,
     check: Optional[Callable[[ProgramSpec], OracleReport]] = None,
-    checkpoint_path: Optional[str] = None,
-    retries: int = 0,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> CampaignResult:
     """Run one differential-testing campaign.
 
@@ -175,15 +170,10 @@ def run_campaign(
     replaces the oracle (the injected-bug demo and the unit tests use
     this to fault-inject); it defaults to :func:`~.oracle.check_spec`.
 
-    ``checkpoint_path`` makes the campaign resumable: progress is saved
-    after every spec, keyed by the campaign parameters, so re-running
-    after a crash picks up at the first unchecked spec instead of
-    repeating the whole stream.  ``retries`` re-runs a spec whose check
-    *crashes* with a :class:`~repro.errors.ReproError` (jittered backoff,
-    see :func:`~repro.resilience.retry.retry_with_backoff`); a spec that
-    still crashes after all retries is recorded as a ``crash``-stage
-    failure rather than killing the campaign.  ``sleep`` is injectable
-    so tests can assert the backoff schedule without waiting for it.
+    Each spec is checked once: every stage the oracle checks is a
+    deterministic function of program, sizes and device, so a check that
+    raises a :class:`~repro.errors.ReproError` is recorded as one
+    unshrunk ``crash``-stage failure and the campaign goes on.
     """
     from ..observability import get_metrics, get_tracer
 
@@ -202,60 +192,28 @@ def run_campaign(
     specs.extend(generator.random_spec() for _ in range(budget))
 
     result = CampaignResult(seed=seed)
-    checkpoint: Optional[Checkpoint] = None
-    start_index = 0
-    if checkpoint_path is not None:
-        checkpoint = Checkpoint(checkpoint_path, key={
-            "campaign": "difftest",
-            "seed": seed,
-            "budget": budget,
-            "templates": include_templates,
-            "split_forcing": run_split_forcing,
-            "corpus": [spec.to_dict() for spec in corpus or []],
-        })
-        state = checkpoint.load()
-        if state is not None:
-            start_index = _restore_campaign(result, state)
-            if start_index and progress:
-                progress(
-                    f"resumed at spec {start_index} "
-                    f"({result.checked} checked, "
-                    f"{len(result.failures)} failure(s))"
-                )
-
     tracer = get_tracer()
     metrics = get_metrics()
-    # The campaign span is opened manually so the per-spec loop below
-    # keeps its indentation; the finally guarantees it closes (and is
-    # recorded) even when a spec check escapes.
-    campaign_span = tracer.span(
+    with tracer.span(
         "difftest.campaign", seed=seed, specs=len(specs)
-    )
-    campaign_span.__enter__()
-    try:
-        _run_specs(
-            specs, start_index, check, result, checkpoint, seed, retries,
-            sleep, progress, out_dir, max_shrink_checks, tracer, metrics,
-        )
-    finally:
-        campaign_span.set(
-            checked=result.checked, failures=len(result.failures)
-        )
-        campaign_span.__exit__(None, None, None)
-    if checkpoint is not None:
-        checkpoint.clear()
+    ) as campaign_span:
+        try:
+            _run_specs(
+                specs, check, result, seed, progress, out_dir,
+                max_shrink_checks, tracer, metrics,
+            )
+        finally:
+            campaign_span.set(
+                checked=result.checked, failures=len(result.failures)
+            )
     return result
 
 
 def _run_specs(
     specs: List[ProgramSpec],
-    start_index: int,
     check: Callable[[ProgramSpec], OracleReport],
     result: CampaignResult,
-    checkpoint: Optional[Checkpoint],
     seed: int,
-    retries: int,
-    sleep: Callable[[float], None],
     progress: Optional[Callable[[str], None]],
     out_dir: Optional[str],
     max_shrink_checks: int,
@@ -263,13 +221,9 @@ def _run_specs(
     metrics,
 ) -> None:
     """The per-spec check/shrink/record loop of :func:`run_campaign`."""
-    for index, spec in enumerate(specs):
-        if index < start_index:
-            continue
+    for spec in specs:
         with tracer.span("difftest.check", spec=spec.describe()):
-            report = _checked(
-                check, spec, index, seed, retries, sleep, progress
-            )
+            report = _checked(check, spec)
         if metrics.enabled:
             metrics.counter("difftest.checked").inc()
             if not report.ok:
@@ -284,8 +238,6 @@ def _run_specs(
         if report.ok:
             if progress:
                 progress(f"ok   {spec.describe()}")
-            if checkpoint is not None:
-                checkpoint.save(_campaign_state(result, index + 1))
             continue
         if progress:
             progress(f"FAIL {spec.describe()}")
@@ -293,11 +245,8 @@ def _run_specs(
         crashed = any(f.stage == "crash" for f in report.failures)
 
         def still_fails(candidate: ProgramSpec) -> bool:
-            try:
-                return not check(candidate).ok
-            except ReproError:
-                # A check that crashes outright certainly still fails.
-                return True
+            # A check that crashes outright certainly still fails.
+            return not _checked(check, candidate).ok
 
         if crashed:
             # Shrinking navigates oracle failures; a crashing check has
@@ -307,7 +256,7 @@ def _run_specs(
             shrunk, checks = shrink_spec(
                 spec, still_fails, max_checks=max_shrink_checks
             )
-        shrunk_report = check(shrunk) if checks else report
+        shrunk_report = _checked(check, shrunk) if checks else report
         record = FailureRecord(
             spec=spec,
             shrunk=shrunk,
@@ -320,121 +269,19 @@ def _run_specs(
                 record, seed, out_dir, len(result.failures)
             )
         result.failures.append(record)
-        if checkpoint is not None:
-            checkpoint.save(_campaign_state(result, index + 1))
 
 
 def _checked(
-    check: Callable[[ProgramSpec], OracleReport],
-    spec: ProgramSpec,
-    index: int,
-    seed: int,
-    retries: int,
-    sleep: Callable[[float], None],
-    progress: Optional[Callable[[str], None]],
+    check: Callable[[ProgramSpec], OracleReport], spec: ProgramSpec
 ) -> OracleReport:
-    """One oracle check, retried on crashes when ``retries`` allows it."""
-    if retries <= 0:
-        return check(spec)
-
-    def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
-        if progress:
-            progress(
-                f"retry {attempt}/{retries} after "
-                f"{type(exc).__name__}: {exc} (backoff {delay:.3f}s)"
-            )
-
+    """One oracle check; a :class:`~repro.errors.ReproError` it raises
+    becomes a ``crash``-stage failure (type + message)."""
     try:
-        return retry_with_backoff(
-            lambda: check(spec),
-            retries=retries,
-            seed=seed + index,
-            sleep=sleep,
-            on_retry=on_retry,
-        )
+        return check(spec)
     except ReproError as exc:
         report = OracleReport(program_name=spec.describe(), spec=spec)
-        report.fail(
-            "crash",
-            f"{type(exc).__name__}: {exc} "
-            f"(persisted through {retries} retr"
-            f"{'y' if retries == 1 else 'ies'})",
-        )
+        report.fail("crash", f"{type(exc).__name__}: {exc}")
         return report
-
-
-# -- checkpoint (de)serialization ------------------------------------------
-
-
-def _campaign_state(result: CampaignResult, next_index: int) -> Dict[str, Any]:
-    """The JSON-safe resume state after ``next_index`` specs are done."""
-    return {
-        "next_index": next_index,
-        "checked": result.checked,
-        "skipped_total": result.skipped_total,
-        "pattern_kinds": sorted(result.pattern_kinds),
-        "split_programs": result.split_programs,
-        "prealloc_programs": result.prealloc_programs,
-        "failures": [
-            {
-                "spec": record.spec.to_dict(),
-                "shrunk": record.shrunk.to_dict(),
-                "program_name": record.report.program_name,
-                "failures": [
-                    {"stage": f.stage, "message": f.message}
-                    for f in record.report.failures
-                ],
-                "shrink_checks": record.shrink_checks,
-                "pattern_nodes": record.pattern_nodes,
-                "artifact_path": record.artifact_path,
-            }
-            for record in result.failures
-        ],
-    }
-
-
-def _restore_campaign(result: CampaignResult, state: Dict[str, Any]) -> int:
-    """Rebuild ``result`` from saved state; returns the resume index.
-
-    A checkpoint that cannot be decoded restores nothing and resumes from
-    spec 0 — a corrupt file downgrades to a fresh campaign, never a crash.
-    """
-    from .oracle import CheckFailure
-
-    try:
-        failures = []
-        for data in state.get("failures", []):
-            report = OracleReport(
-                program_name=str(data.get("program_name", "")),
-                spec=ProgramSpec.from_dict(data["shrunk"]),
-            )
-            report.failures = [
-                CheckFailure(str(f["stage"]), str(f["message"]))
-                for f in data.get("failures", [])
-            ]
-            failures.append(FailureRecord(
-                spec=ProgramSpec.from_dict(data["spec"]),
-                shrunk=ProgramSpec.from_dict(data["shrunk"]),
-                report=report,
-                shrink_checks=int(data.get("shrink_checks", 0)),
-                pattern_nodes=int(data.get("pattern_nodes", -1)),
-                artifact_path=data.get("artifact_path"),
-            ))
-        next_index = int(state.get("next_index", 0))
-        checked = int(state.get("checked", 0))
-        skipped_total = int(state.get("skipped_total", 0))
-        pattern_kinds = set(state.get("pattern_kinds", []))
-        split_programs = int(state.get("split_programs", 0))
-        prealloc_programs = int(state.get("prealloc_programs", 0))
-    except (KeyError, TypeError, ValueError, ReproError):
-        return 0
-    result.checked = checked
-    result.skipped_total = skipped_total
-    result.pattern_kinds = pattern_kinds
-    result.split_programs = split_programs
-    result.prealloc_programs = prealloc_programs
-    result.failures = failures
-    return next_index
 
 
 def _pattern_node_count(spec: ProgramSpec) -> int:

@@ -1,5 +1,5 @@
 """Resilience subsystem: budgets, fallbacks, fault injection, replayable
-failure reports, and retry/checkpoint helpers.
+failure reports, and the transport backoff schedule.
 
 The compilation pipeline (analysis → search → optimization → codegen →
 simulation/execution) is wrapped so that a failed or over-budget stage
@@ -47,7 +47,7 @@ from .reports import (
     replay_failure_report,
     write_failure_report,
 )
-from .retry import Checkpoint, backoff_delays, retry_with_backoff
+from .retry import backoff_delays
 
 __all__ = [
     "Budget",
@@ -80,7 +80,5 @@ __all__ = [
     "load_failure_report",
     "replay_failure_report",
     "write_failure_report",
-    "Checkpoint",
     "backoff_delays",
-    "retry_with_backoff",
 ]

@@ -37,7 +37,6 @@ budget).
 
 from __future__ import annotations
 
-import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -167,11 +166,8 @@ class FaultPlan:
     is what replay relies on.
     """
 
-    def __init__(
-        self, specs: Sequence[FaultSpec] = (), seed: int = 0
-    ) -> None:
+    def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
-        self.seed = seed
         self._counters: Dict[str, int] = {}
         self._fired: List[Tuple[str, str, int]] = []
         self._lock = threading.Lock()
@@ -185,20 +181,6 @@ class FaultPlan:
     ) -> "FaultPlan":
         """The chaos matrix's unit: one fault at one place."""
         return cls([FaultSpec(stage=stage, kind=kind, at=at, times=times)])
-
-    @classmethod
-    def random(
-        cls, seed: int, count: int = 3, max_at: int = 5
-    ) -> "FaultPlan":
-        """A seeded random plan over the valid (stage, kind) matrix."""
-        rng = random.Random(seed)
-        specs = [
-            FaultSpec(stage=stage, kind=kind, at=rng.randint(1, max_at))
-            for stage, kind in (
-                rng.choice(FAULT_MATRIX) for _ in range(count)
-            )
-        ]
-        return cls(specs, seed=seed)
 
     # -- runtime ---------------------------------------------------------
 
@@ -241,17 +223,11 @@ class FaultPlan:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "specs": [spec.to_dict() for spec in self.specs],
-        }
+        return {"specs": [spec.to_dict() for spec in self.specs]}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultPlan":
-        return cls(
-            [FaultSpec.from_dict(d) for d in data.get("specs", [])],
-            seed=data.get("seed", 0),
-        )
+        return cls([FaultSpec.from_dict(d) for d in data.get("specs", [])])
 
     def describe(self) -> str:
         if not self.specs:

@@ -234,11 +234,8 @@ class HttpBackend(Backend):
     def mark_dead(self) -> None:
         self._dead = True
 
-    def revive(self) -> None:
-        self._dead = False
-
     def mark_alive(self) -> None:
-        self.revive()
+        self._dead = False
 
     def probe(self) -> Dict[str, Any]:
         # Deliberately ignores the local ``_dead`` flag: the probe asks

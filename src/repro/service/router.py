@@ -2,9 +2,9 @@
 
 :class:`HashRing` hashes backend names onto a ring.  Requests are placed
 by their :func:`~repro.ir.serialize.compile_digest`, so one digest
-always lands on the same backend while that backend is in the ring;
-adding or removing a node only moves the ``1/N`` of the keyspace
-adjacent to its points (virtual replicas keep the shares balanced).
+always lands on the same backend (virtual replicas keep the shares
+balanced).  Membership is fixed when the ring is built: a dead backend
+stays in the ring and its breaker steers traffic away.
 :meth:`HashRing.preference` yields the full failover order — the primary
 first, then each distinct successor clockwise — which is the retry
 schedule the fleet router walks on backend death or saturation.
@@ -19,9 +19,8 @@ the process's one bounded memo, :class:`repro.analysis.cache.LRUCache`.
 from __future__ import annotations
 
 import hashlib
-import threading
-from bisect import bisect_right, insort
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Iterable, List, Optional, Tuple
 
 #: Virtual points per node.  64 keeps the largest/smallest keyspace
 #: share within a few percent for small fleets while the ring stays
@@ -37,10 +36,9 @@ def _ring_point(key: str) -> int:
 
 
 class HashRing:
-    """Consistent-hash ring over named nodes.
+    """Consistent-hash ring over a fixed set of named nodes.
 
-    Thread-safe; mutation (``add``/``remove``) is rare — membership
-    changes, not per-request work — so a plain lock suffices.
+    The sorted points are built once, so concurrent lookups need no lock.
     """
 
     def __init__(
@@ -50,46 +48,17 @@ class HashRing:
     ) -> None:
         if replicas < 1:
             raise ValueError("hash ring needs at least one replica")
-        self.replicas = replicas
-        self._lock = threading.Lock()
+        self._nodes: List[str] = sorted(set(nodes))
         #: Sorted ``(point, node)`` tuples; ties broken by node name so
         #: two processes building the same ring agree exactly.
-        self._points: List[Tuple[int, str]] = []
-        self._nodes: Dict[str, List[Tuple[int, str]]] = {}
-        for node in nodes:
-            self.add(node)
-
-    def add(self, node: str) -> None:
-        with self._lock:
-            if node in self._nodes:
-                return
-            points = [
-                (_ring_point(f"{node}#{i}"), node)
-                for i in range(self.replicas)
-            ]
-            self._nodes[node] = points
-            for point in points:
-                insort(self._points, point)
-
-    def remove(self, node: str) -> None:
-        with self._lock:
-            points = self._nodes.pop(node, None)
-            if points is None:
-                return
-            dropped = set(points)
-            self._points = [p for p in self._points if p not in dropped]
+        self._points: List[Tuple[int, str]] = sorted(
+            (_ring_point(f"{node}#{i}"), node)
+            for node in self._nodes
+            for i in range(replicas)
+        )
 
     def nodes(self) -> List[str]:
-        with self._lock:
-            return sorted(self._nodes)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        with self._lock:
-            return node in self._nodes
+        return list(self._nodes)
 
     def node_for(self, key: str) -> str:
         """The primary owner of ``key`` (first node clockwise)."""
@@ -107,32 +76,22 @@ class HashRing:
         the order the fleet router retries in when a backend is dead or
         shedding load.  ``limit`` truncates the walk.
         """
-        with self._lock:
-            if not self._points:
-                return []
-            want = len(self._nodes) if limit is None else min(
-                limit, len(self._nodes)
-            )
-            start = bisect_right(self._points, (_ring_point(key), "\uffff"))
-            order: List[str] = []
-            seen = set()
-            for offset in range(len(self._points)):
-                _, node = self._points[(start + offset) % len(self._points)]
-                if node not in seen:
-                    seen.add(node)
-                    order.append(node)
-                    if len(order) >= want:
-                        break
-            return order
-
-    def shares(self, samples: int = 4096) -> Dict[str, float]:
-        """Approximate keyspace share per node (diagnostics/tests)."""
-        counts: Dict[str, int] = {node: 0 for node in self.nodes()}
-        if not counts:
-            return {}
-        for i in range(samples):
-            counts[self.node_for(f"sample-{i}")] += 1
-        return {node: count / samples for node, count in counts.items()}
+        if not self._points:
+            return []
+        want = len(self._nodes) if limit is None else min(
+            limit, len(self._nodes)
+        )
+        start = bisect_right(self._points, (_ring_point(key), "\uffff"))
+        order: List[str] = []
+        seen = set()
+        for offset in range(len(self._points)):
+            _, node = self._points[(start + offset) % len(self._points)]
+            if node not in seen:
+                seen.add(node)
+                order.append(node)
+                if len(order) >= want:
+                    break
+        return order
 
 
 __all__ = ["DEFAULT_RING_REPLICAS", "HashRing"]

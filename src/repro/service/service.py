@@ -56,7 +56,6 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
     #: Per-request search budget (conservative fallback on exhaustion).
     deadline_s: Optional[float] = _config.DEFAULT_REQUEST_DEADLINE_S
-    max_nodes: Optional[int] = None
 
 
 class CompileService(Admission):
@@ -207,14 +206,8 @@ class CompileService(Admission):
         # matter which process or fleet backend runs the pipeline.
         program, device, sizes = request.compile_inputs(digest)
         budget = None
-        if (
-            self.config.deadline_s is not None
-            or self.config.max_nodes is not None
-        ):
-            budget = Budget(
-                deadline_s=self.config.deadline_s,
-                max_nodes=self.config.max_nodes,
-            )
+        if self.config.deadline_s is not None:
+            budget = Budget(deadline_s=self.config.deadline_s)
         session = GpuSession(
             device=device,
             strategy=request.strategy,

@@ -2,6 +2,7 @@
 memo as the router's hot LRU tier."""
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -28,12 +29,29 @@ class TestHashRing:
 
     def test_shares_roughly_balanced(self):
         ring = HashRing(["b0", "b1", "b2", "b3"])
-        shares = ring.shares(samples=4096)
-        assert sum(shares.values()) == pytest.approx(1.0)
-        for node, share in shares.items():
+        counts = Counter(ring.node_for(f"sample-{i}") for i in range(4096))
+        assert sorted(counts) == ["b0", "b1", "b2", "b3"]
+        for node, count in counts.items():
             # 64 virtual replicas keep each of 4 nodes within a loose
             # band around the ideal 25%.
-            assert 0.10 < share < 0.45, (node, shares)
+            assert 0.10 < count / 4096 < 0.45, (node, counts)
+
+    def test_preference_pinned(self):
+        # Failover orders over a three-backend fleet, pinned so a change
+        # to the ring's hashing or tie-break shows up as a diff.
+        ring = HashRing(["backend-0", "backend-1", "backend-2"])
+        assert ring.preference("alpha") == [
+            "backend-2", "backend-0", "backend-1"
+        ]
+        assert ring.preference("beta") == [
+            "backend-1", "backend-2", "backend-0"
+        ]
+        assert ring.preference("delta") == [
+            "backend-1", "backend-0", "backend-2"
+        ]
+        assert ring.preference("digest-0") == [
+            "backend-0", "backend-2", "backend-1"
+        ]
 
     def test_preference_lists_every_node_once(self):
         ring = HashRing(["b0", "b1", "b2"])
@@ -47,45 +65,6 @@ class TestHashRing:
         assert len(ring.preference("key", limit=2)) == 2
         assert ring.preference("key", limit=1) == [ring.node_for("key")]
         assert len(ring.preference("key", limit=99)) == 3
-
-    def test_remove_only_moves_the_removed_nodes_keys(self):
-        ring = HashRing(["b0", "b1", "b2"])
-        before = {f"key-{i}": ring.node_for(f"key-{i}") for i in range(512)}
-        ring.remove("b1")
-        for key, owner in before.items():
-            after = ring.node_for(key)
-            if owner != "b1":
-                # Consistent hashing: keys not owned by the removed
-                # node keep their placement.
-                assert after == owner, key
-            else:
-                assert after != "b1"
-
-    def test_failover_target_is_next_preference(self):
-        # The node a key falls to when its primary dies is exactly the
-        # second entry of the preference order — the router's retry walk
-        # and the ring's rebalance agree.
-        ring = HashRing(["b0", "b1", "b2"])
-        for i in range(128):
-            key = f"key-{i}"
-            primary, second = ring.preference(key, limit=2)
-            ring.remove(primary)
-            assert ring.node_for(key) == second
-            ring.add(primary)
-            assert ring.node_for(key) == primary
-
-    def test_add_is_idempotent(self):
-        ring = HashRing(["b0"])
-        ring.add("b0")
-        assert len(ring) == 1
-        assert ring.nodes() == ["b0"]
-
-    def test_membership_protocol(self):
-        ring = HashRing(["b0", "b1"])
-        assert "b0" in ring
-        assert "nope" not in ring
-        ring.remove("nope")  # no-op, no raise
-        assert len(ring) == 2
 
     def test_empty_ring(self):
         ring = HashRing()
